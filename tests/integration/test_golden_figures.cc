@@ -1,7 +1,7 @@
 /**
  * Golden regression pins for the paper harnesses.
  *
- * Seeded, scaled-down fig04 and table4 configurations run through the
+ * Seeded, scaled-down figure and table configurations run through the
  * same bench_util plumbing the real harnesses use, and their canonical
  * JSON serialization is compared byte-for-byte against checked-in
  * results/golden_*.json. The pins prove that infrastructure changes —
@@ -176,6 +176,47 @@ TEST(GoldenFigures, Fig05PinnedConfigsMatchGolden)
     for (std::size_t i = 0; i < jobs.size(); ++i)
         text += outcomeRow(labels[i], jobs[i], outcomes[i]) + "\n";
     checkGolden("golden_fig05.json", text);
+}
+
+TEST(GoldenFigures, Table2PinnedConfigsMatchGolden)
+{
+    // Pinned miniature of Table 2: one multiprogram pair under AMNT
+    // with the unmodified and the AMNT++ operating system. Its rows
+    // depend directly on the order in which the aged allocator hands
+    // out frames. The miniature ROI is far shorter than the full
+    // run, so page churn and the background reclamation pass are
+    // pinned denser to keep AMNT++'s restructuring (and its
+    // os_instructions cost) inside the golden, and persistence-model
+    // flushes keep the secure write path in it as in the fig05 pin.
+    const std::uint64_t instr = 48000;
+    const std::uint64_t warmup = 16000;
+
+    std::vector<sim::WorkloadConfig> procs;
+    for (const char *name : {"x264", "freqmine"}) {
+        sim::WorkloadConfig w = sim::parsecPreset(name);
+        w.footprintPages =
+            std::max<std::uint64_t>(256, w.footprintPages / 4);
+        w.flushWriteFraction = 0.05;
+        w.churnEvery = 32;
+        procs.push_back(w);
+    }
+
+    sim::SystemConfig plain = bench::paperSystem(mee::Protocol::Amnt, 2);
+    plain.daemonEvery = 8000;
+    sim::SystemConfig pp = plain;
+    pp.amntpp = true;
+    const std::vector<std::string> labels = {"x264+freqmine/amnt",
+                                             "x264+freqmine/amnt++"};
+    const std::vector<sweep::Job> jobs = {
+        bench::makeJob(plain, procs, instr, warmup),
+        bench::makeJob(pp, procs, instr, warmup)};
+
+    const std::vector<sweep::Outcome> outcomes =
+        bench::sweepConfigs(jobs);
+    std::string text;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        text += outcomeRow(labels[i], jobs[i], outcomes[i]) + "\n";
+    checkGolden("golden_table2.json", text);
 }
 
 TEST(GoldenFigures, Table3PinnedConfigsMatchGolden)
