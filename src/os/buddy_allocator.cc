@@ -137,10 +137,15 @@ void
 BuddyAllocator::ageSystem(Rng &rng, double free_fraction,
                           std::uint64_t run_pages)
 {
+    if (run_pages == 0)
+        panic("ageSystem: run_pages must be non-zero");
     aging_ = true;
-    // Drain everything as single frames.
-    while (allocPage())
-        ;
+    // Start fully allocated: draining every frame leaves every list
+    // empty, so build that state directly.
+    for (auto &lst : freeLists_)
+        lst.clear();
+    index_.clear();
+    freeFrames_ = 0;
 
     // Shuffle run order, then free whole runs (or pin them).
     std::vector<PageId> runs;
@@ -153,8 +158,20 @@ BuddyAllocator::ageSystem(Rng &rng, double free_fraction,
         if (!rng.chance(free_fraction))
             continue; // pinned: some resident daemon keeps it
         const PageId end = std::min(start + run_pages, frames_);
-        for (PageId f = start; f < end; ++f)
-            freePage(f);
+        // Free the run as its maximal aligned blocks, ascending. A
+        // surviving chunk is pushed when the block holding its
+        // highest page is freed, just as when freeing page by page
+        // it is pushed when that page is freed, so every list gets
+        // the same chunks in the same order.
+        for (PageId f = start; f < end;) {
+            unsigned order = 0;
+            while (order < maxOrder_ &&
+                   (f & ((2ull << order) - 1)) == 0 &&
+                   f + (2ull << order) <= end)
+                ++order;
+            free(f, order);
+            f += 1ull << order;
+        }
     }
 
     // Aging is environment setup, not measured OS work.

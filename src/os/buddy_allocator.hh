@@ -89,6 +89,15 @@ class BuddyAllocator
      * does on real systems, where reclamation returns whole
      * mappings) but successive allocations can jump across memory,
      * which is the scatter AMNT++'s biased lists repair.
+     *
+     * The aged state is built directly: the allocator starts fully
+     * allocated (empty lists), and each freed run is returned as its
+     * maximal aligned blocks in ascending address order. The lists,
+     * free count and RNG draws equal those of draining every frame
+     * and freeing each run page by page (checked against that
+     * reference in tests/os/test_buddy.cc), at a cost proportional
+     * to the number of blocks rather than frames. @p run_pages must
+     * be non-zero.
      */
     void ageSystem(Rng &rng, double free_fraction = 0.7,
                    std::uint64_t run_pages = 8192);

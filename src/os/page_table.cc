@@ -15,7 +15,8 @@ PageTable::translate(Addr vaddr)
         if (!frame)
             fatal("out of physical memory at vpage %llu",
                   static_cast<unsigned long long>(vpage));
-        it = map_.emplace(vpage, *frame).first;
+        it = map_.try_emplace(vpage).first;
+        it->second = *frame;
         ++faults_;
     }
     return pageAddr(it->second) + (vaddr & (kPageSize - 1));
@@ -38,7 +39,7 @@ PageTable::unmapPage(PageId vpage)
     if (it == map_.end())
         return;
     allocator_->freePage(it->second);
-    map_.erase(it);
+    map_.erase(vpage);
 }
 
 void

@@ -14,8 +14,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "os/buddy_allocator.hh"
 
@@ -53,13 +53,16 @@ class PageTable
     /** Pages faulted in so far (allocation count). */
     std::uint64_t faults() const { return faults_; }
 
-    /** Iterate mappings: visitor(vpage, pframe). */
+    /**
+     * Iterate mappings: visitor(vpage, pframe), in the map's slot
+     * order (deterministic, but not sorted by virtual page).
+     */
     void forEachMapping(
         const std::function<void(PageId, PageId)> &visitor) const;
 
   private:
     BuddyAllocator *allocator_;
-    std::unordered_map<PageId, PageId> map_;
+    FlatMap<PageId, PageId> map_;
     std::uint64_t faults_ = 0;
 };
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
+#include "common/rng.hh"
 #include "os/page_table.hh"
 
 namespace amnt::os
@@ -90,6 +93,52 @@ TEST(PageTable, ForEachMappingVisitsAll)
     int n = 0;
     pt.forEachMapping([&](PageId, PageId) { ++n; });
     EXPECT_EQ(n, 2);
+}
+
+TEST(PageTable, StormMatchesUnorderedMapReference)
+{
+    // Slow reference: a std::unordered_map page table driven by its
+    // own allocator, built and aged the same way. Each step
+    // translates, unmaps or re-touches a page; every translation, the
+    // fault count and the mapped-page count must agree.
+    BuddyAllocator alloc(4096), ref_alloc(4096);
+    Rng age(77), ref_age(77);
+    alloc.ageSystem(age, 0.8, 96);
+    ref_alloc.ageSystem(ref_age, 0.8, 96);
+    PageTable pt(alloc);
+    std::unordered_map<PageId, PageId> ref;
+    std::uint64_t ref_faults = 0;
+
+    Rng rng(2024);
+    const PageId vpages = 3000;
+    for (int step = 0; step < 60000; ++step) {
+        const PageId vpage = rng.below(vpages);
+        const Addr vaddr = pageAddr(vpage) + rng.below(kPageSize);
+        if (rng.chance(0.25)) {
+            pt.unmapPage(vpage);
+            auto it = ref.find(vpage);
+            if (it != ref.end()) {
+                ref_alloc.freePage(it->second);
+                ref.erase(it);
+            }
+        } else {
+            auto it = ref.find(vpage);
+            if (it == ref.end()) {
+                it = ref.emplace(vpage, *ref_alloc.allocPage()).first;
+                ++ref_faults;
+            }
+            ASSERT_EQ(pt.translate(vaddr),
+                      pageAddr(it->second) + (vaddr & (kPageSize - 1)))
+                << "step " << step;
+        }
+        ASSERT_EQ(pt.faults(), ref_faults) << "step " << step;
+        ASSERT_EQ(pt.mappedPages(), ref.size()) << "step " << step;
+    }
+    for (const auto &[vpage, frame] : ref) {
+        Addr paddr = 0;
+        ASSERT_TRUE(pt.probe(pageAddr(vpage), paddr));
+        EXPECT_EQ(pageOf(paddr), frame);
+    }
 }
 
 } // namespace
