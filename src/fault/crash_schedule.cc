@@ -1,7 +1,10 @@
 #include "fault/crash_schedule.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <unordered_map>
+#include <utility>
 
 #include "common/env.hh"
 #include "common/log.hh"
@@ -9,6 +12,7 @@
 #include "core/amnt.hh"
 #include "core/hybrid.hh"
 #include "fault/fault.hh"
+#include "shard/sharded_engine.hh"
 
 namespace amnt::fault
 {
@@ -36,21 +40,33 @@ patternBlock(std::uint64_t seed)
     return b;
 }
 
-/** The fixed workload: identical for the count pass and every replay. */
+/**
+ * The fixed workload: identical for the count pass and every replay.
+ * Sharded runs spread the footprint pages evenly across the WHOLE
+ * data range so every slice sees traffic — a contiguous low footprint
+ * would leave all but slice 0 idle and the torn cases untested.
+ */
 std::vector<Op>
 makeWorkload(const ScheduleConfig &cfg)
 {
+    if (cfg.hybrid && cfg.slices != 0)
+        panic("crash-schedule hybrid and sharded targets are exclusive");
     if (cfg.pages * kPageSize > cfg.mee.dataBytes)
         panic("crash-schedule footprint exceeds dataBytes");
     if (cfg.blocksPerPage == 0 || cfg.blocksPerPage > kBlocksPerPage)
         panic("crash-schedule blocksPerPage outside [1, %u]",
               static_cast<unsigned>(kBlocksPerPage));
+    const std::uint64_t spread =
+        cfg.slices == 0 ? 1
+                        : std::max<std::uint64_t>(
+                              1, cfg.mee.dataBytes / kPageSize /
+                                     cfg.pages);
     Rng rng(cfg.workloadSeed);
     std::vector<Op> ops(cfg.workloadOps);
     for (unsigned i = 0; i < cfg.workloadOps; ++i) {
         Op &op = ops[i];
         op.isWrite = rng.chance(cfg.writeFraction);
-        op.addr = rng.below(cfg.pages) * kPageSize +
+        op.addr = rng.below(cfg.pages) * spread * kPageSize +
                   rng.below(cfg.blocksPerPage) * kBlockSize;
         op.pattern = rng.next();
         // Hybrid machines interleave DRAM traffic: every fourth access
@@ -64,15 +80,29 @@ makeWorkload(const ScheduleConfig &cfg)
     return ops;
 }
 
-/** Uniform driver over a flat engine or the hybrid controller. */
+/**
+ * Uniform driver over a flat engine, the hybrid controller or a
+ * sharded engine. The oracle sees every target as slices behind a
+ * partition: a flat or hybrid target is one slice with the identity
+ * partition over its persistent data range.
+ */
 class Harness
 {
   public:
     explicit Harness(const ScheduleConfig &cfg)
+        : part_(cfg.mee.dataBytes, std::max(1u, cfg.slices))
     {
         mee::MeeConfig m = cfg.mee;
         m.trackContents = true; // the oracle needs functional contents
-        if (cfg.hybrid) {
+        if (cfg.slices != 0) {
+            shard::ShardOptions so;
+            so.slices = cfg.slices;
+            so.lanes = 1; // injection forces serial drains anyway
+            so.epochWrites = cfg.epochWrites;
+            so.cores = 1;
+            sharded_ = std::make_unique<shard::ShardedEngine>(
+                cfg.protocol, m, so);
+        } else if (cfg.hybrid) {
             core::HybridConfig hc;
             hc.scmBytes = m.dataBytes;
             hc.dramBytes = m.dataBytes;
@@ -88,7 +118,9 @@ class Harness
     void
     attach(FaultDomain *domain)
     {
-        if (hybrid_ != nullptr)
+        if (sharded_ != nullptr)
+            sharded_->setFaultDomain(domain);
+        else if (hybrid_ != nullptr)
             hybrid_->setFaultDomain(domain);
         else
             nvm_->setFaultDomain(domain);
@@ -97,6 +129,8 @@ class Harness
     Cycle
     write(Addr addr, const std::uint8_t *data)
     {
+        if (sharded_ != nullptr)
+            return sharded_->write(addr, data);
         return hybrid_ != nullptr ? hybrid_->write(addr, data)
                                   : engine_->write(addr, data);
     }
@@ -104,14 +138,26 @@ class Harness
     Cycle
     read(Addr addr, std::uint8_t *out = nullptr)
     {
+        if (sharded_ != nullptr)
+            return sharded_->read(addr, out);
         return hybrid_ != nullptr ? hybrid_->read(addr, out)
                                   : engine_->read(addr, out);
+    }
+
+    /** Commit whatever a sharded engine still buffers. */
+    void
+    flush()
+    {
+        if (sharded_ != nullptr)
+            sharded_->flush();
     }
 
     void
     crash()
     {
-        if (hybrid_ != nullptr)
+        if (sharded_ != nullptr)
+            sharded_->crash();
+        else if (hybrid_ != nullptr)
             hybrid_->crash();
         else
             engine_->crash();
@@ -120,6 +166,8 @@ class Harness
     mee::RecoveryReport
     recover()
     {
+        if (sharded_ != nullptr)
+            return sharded_->recover();
         return hybrid_ != nullptr ? hybrid_->recover()
                                   : engine_->recover();
     }
@@ -127,44 +175,88 @@ class Harness
     std::uint64_t
     violations() const
     {
+        if (sharded_ != nullptr)
+            return sharded_->violations();
         return hybrid_ != nullptr ? hybrid_->violations()
                                   : engine_->violations();
     }
 
-    /** The persistent-side engine the oracle inspects. */
-    mee::MemoryEngine &
-    scmEngine()
+    /**
+     * The epoch op @p i of the workload is issued in. A sharded
+     * engine buffers ops into its open epoch; a flat or hybrid engine
+     * commits op by op, so op i is its own epoch i + 1 and nothing
+     * coalesces.
+     */
+    std::uint64_t
+    openEpoch(std::size_t i) const
     {
+        return sharded_ != nullptr ? sharded_->currentEpoch() : i + 1;
+    }
+
+    const shard::ShardedEngine *sharded() const { return sharded_.get(); }
+
+    const shard::Partition &partition() const { return part_; }
+
+    /** The persistent-side engine of slice @p s (the oracle's view). */
+    mee::MemoryEngine &
+    sliceEngine(unsigned s)
+    {
+        if (sharded_ != nullptr)
+            return sharded_->shard(s).engine();
         return hybrid_ != nullptr
                    ? static_cast<mee::MemoryEngine &>(hybrid_->scm())
                    : *engine_;
     }
 
-    /** The persistent-side device (tamper probes). */
+    /** The persistent-side device of slice @p s (tamper probes). */
     mem::NvmDevice &
-    scmDevice()
+    sliceDevice(unsigned s)
     {
+        if (sharded_ != nullptr)
+            return sharded_->shard(s).device();
         return hybrid_ != nullptr ? hybrid_->scmDevice() : *nvm_;
     }
 
   private:
+    shard::Partition part_;
     std::unique_ptr<mem::NvmDevice> nvm_;
     std::unique_ptr<mee::MemoryEngine> engine_;
     std::unique_ptr<core::HybridEngine> hybrid_;
+    std::unique_ptr<shard::ShardedEngine> sharded_;
+};
+
+/** How far one replay got. */
+struct Progress
+{
+    bool fired = false; ///< the armed crash point fired
+
+    /** Epoch each op was issued in; ~0 for ops never issued. */
+    std::vector<std::uint64_t> epochOf;
+
+    /**
+     * Last committed epoch. Replay sets it for flat and hybrid
+     * targets; a sharded target's commit record decides instead, read
+     * back after recovery.
+     */
+    std::uint64_t committedEpoch = 0;
 };
 
 /**
- * Replay @p ops until the armed boundary fires (or the workload ends,
- * which is also how the counting pass runs to completion).
- * @param committed Receives every SCM data write whose commit group
- *        closed before the crash, in program order.
- * @return true when the armed crash point fired.
+ * Replay @p ops, then flush, until the armed boundary fires (or the
+ * workload ends, which is also how the counting pass runs to
+ * completion).
  */
-bool
+Progress
 replay(Harness &h, const FaultDomain &domain,
-       const std::vector<Op> &ops, std::vector<const Op *> &committed)
+       const std::vector<Op> &ops)
 {
-    for (const Op &op : ops) {
+    Progress p;
+    p.epochOf.assign(ops.size(), ~0ull);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const Op &op = ops[i];
+        // Queried BEFORE the call: the issuing write itself may close
+        // a sharded engine's epoch.
+        p.epochOf[i] = h.openEpoch(i);
         const std::uint64_t closed_before = domain.commitsClosed();
         try {
             if (op.isWrite)
@@ -172,19 +264,23 @@ replay(Harness &h, const FaultDomain &domain,
             else
                 h.read(op.addr);
         } catch (const CrashInjected &) {
-            // The in-flight op committed iff its commit group closed
-            // before the boundary fired — the crash then landed in
-            // the op's deferred postCommit work (stop-loss persists,
-            // path write-throughs, adaptation, movement).
-            if (op.isWrite && op.scm &&
-                domain.commitsClosed() > closed_before)
-                committed.push_back(&op);
-            return true;
+            // A flat or hybrid in-flight op committed iff its commit
+            // group closed before the boundary fired — the crash then
+            // landed in the op's deferred postCommit work (stop-loss
+            // persists, path write-throughs, adaptation, movement).
+            p.committedEpoch =
+                domain.commitsClosed() > closed_before ? i + 1 : i;
+            p.fired = true;
+            return p;
         }
-        if (op.isWrite && op.scm)
-            committed.push_back(&op);
     }
-    return false;
+    p.committedEpoch = ops.size();
+    try {
+        h.flush();
+    } catch (const CrashInjected &) {
+        p.fired = true;
+    }
+    return p;
 }
 
 /** Inject a crash at @p point, recover, and run the full oracle. */
@@ -203,10 +299,10 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
     // Injection lifecycle on the engine's trace track: the armed
     // boundary id (a1=1 distinguishes it from the organic Crash
     // instant the engine emits when the boundary actually fires).
-    h.scmEngine().tracer().instant(obs::EventClass::Crash, point, 1);
+    h.sliceEngine(0).tracer().instant(obs::EventClass::Crash, point, 1);
 
-    std::vector<const Op *> committed;
-    out.fired = replay(h, domain, ops, committed);
+    Progress p = replay(h, domain, ops);
+    out.fired = p.fired;
     if (!out.fired) {
         out.detail = "armed boundary never fired: replay diverged "
                      "from the count pass";
@@ -217,28 +313,53 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
     // recovery and the oracle's own persists run freely.
     h.crash();
     const mee::RecoveryReport rec = h.recover();
+    if (h.sharded() != nullptr) {
+        out.tornSlices =
+            h.sharded()->stats().get("torn_epochs_rolled_back");
+        p.committedEpoch = h.sharded()->committedEpoch();
+    }
     out.recovered = rec.success;
     if (!out.recovered) {
         out.detail = "recovery failed (" + rec.detail + ")";
         return out;
     }
 
+    // Committed set: the SCM writes whose epoch committed. A sharded
+    // write is committed iff its epoch's cross-shard commit record
+    // persisted; a torn epoch's writes — even on slices that finished
+    // draining — are not, and the oracle below fails if any survived
+    // rollback.
+    std::vector<std::size_t> committed;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].isWrite && ops[i].scm &&
+            p.epochOf[i] <= p.committedEpoch)
+            committed.push_back(i);
+    }
+
+    // Epoch coalescing: a sharded engine applies only the LAST write
+    // per (epoch, block). The reference replay below mirrors that, or
+    // its counters would over-count coalesced writes.
+    std::map<std::pair<std::uint64_t, Addr>, std::size_t> last_in_epoch;
+    for (std::size_t i : committed)
+        last_in_epoch[{p.epochOf[i], ops[i].addr}] = i;
+
     // Contents oracle: the last committed payload of every durably
     // committed block must decrypt bit-exactly, with zero violations.
     std::unordered_map<Addr, std::uint64_t> last;
-    for (const Op *op : committed)
-        last[op->addr] = op->pattern;
+    for (std::size_t i : committed)
+        last[ops[i].addr] = ops[i].pattern;
     out.contentsOk = true;
-    for (const Op *op : committed) {
-        if (last.at(op->addr) != op->pattern)
+    for (std::size_t i : committed) {
+        const Op &op = ops[i];
+        if (last.at(op.addr) != op.pattern)
             continue; // superseded by a later committed write
-        const mem::Block expect = patternBlock(op->pattern);
+        const mem::Block expect = patternBlock(op.pattern);
         mem::Block got{};
-        h.read(op->addr, got.data());
+        h.read(op.addr, got.data());
         if (got != expect) {
             out.contentsOk = false;
             out.detail = "committed block at address " +
-                         std::to_string(op->addr) +
+                         std::to_string(op.addr) +
                          " lost or corrupted after recovery";
             break;
         }
@@ -251,38 +372,51 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
     if (!out.contentsOk)
         return out;
 
-    // Counter differential: a Volatile reference engine replaying only
-    // the committed writes must agree with the recovered engine on
-    // every counter block (both directions, so neither lost nor
-    // phantom counters pass).
-    mee::MeeConfig ref_cfg = cfg.mee;
-    ref_cfg.trackContents = true;
-    mem::NvmDevice ref_nvm(
-        mem::MemoryMap(ref_cfg.dataBytes).deviceBytes());
-    const auto ref =
-        core::makeEngine(mee::Protocol::Volatile, ref_cfg, ref_nvm);
-    for (const Op *op : committed)
-        ref->write(op->addr, patternBlock(op->pattern).data());
+    // Counter differential, per slice: a Volatile reference engine at
+    // slice geometry replaying that slice's committed writes (after
+    // coalescing) must agree with the recovered slice on every counter
+    // block (both directions, so neither lost nor phantom counters
+    // pass).
+    const shard::Partition &part = h.partition();
     out.countersMatch = true;
-    const bmt::TreeState &want = ref->treeState();
-    const bmt::TreeState &have = h.scmEngine().treeState();
-    want.forEachCounter(
-        [&](std::uint64_t idx, const bmt::CounterBlock &cb) {
-            if (have.counter(idx) != cb)
-                out.countersMatch = false;
-        });
-    have.forEachCounter(
-        [&](std::uint64_t idx, const bmt::CounterBlock &cb) {
-            if (want.counter(idx) != cb)
-                out.countersMatch = false;
-        });
+    for (unsigned s = 0; s < part.slices && out.countersMatch; ++s) {
+        mee::MeeConfig ref_cfg = cfg.mee;
+        ref_cfg.trackContents = true;
+        ref_cfg.dataBytes = part.sliceBytes;
+        mem::NvmDevice ref_nvm(
+            mem::MemoryMap(ref_cfg.dataBytes).deviceBytes());
+        const auto ref =
+            core::makeEngine(mee::Protocol::Volatile, ref_cfg, ref_nvm);
+        for (std::size_t i : committed) {
+            const Op &op = ops[i];
+            if (part.shardFor(op.addr) != s)
+                continue;
+            if (last_in_epoch.at({p.epochOf[i], op.addr}) != i)
+                continue; // coalesced into a later same-epoch write
+            ref->write(part.localAddr(op.addr),
+                       patternBlock(op.pattern).data());
+        }
+        const bmt::TreeState &want = ref->treeState();
+        const bmt::TreeState &have = h.sliceEngine(s).treeState();
+        want.forEachCounter(
+            [&](std::uint64_t idx, const bmt::CounterBlock &cb) {
+                if (have.counter(idx) != cb)
+                    out.countersMatch = false;
+            });
+        have.forEachCounter(
+            [&](std::uint64_t idx, const bmt::CounterBlock &cb) {
+                if (want.counter(idx) != cb)
+                    out.countersMatch = false;
+            });
+    }
     if (!out.countersMatch) {
         out.detail = "recovered counters diverge from the committed-"
                      "write reference replay";
         return out;
     }
 
-    // Liveness: the recovered engine must accept and serve new writes.
+    // Liveness: the recovered engine must accept and serve new writes
+    // (a sharded engine's functional read drains them synchronously).
     const Addr live_addr = 0;
     const mem::Block live = patternBlock(0x11fe ^ point);
     h.write(live_addr, live.data());
@@ -294,14 +428,17 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
         return out;
     }
 
-    // Tamper probe: integrity detection must still be armed after
-    // recovery. Target the most recent committed block (or the
-    // liveness block when the crash preceded every write).
+    // Tamper probe: integrity detection must still be armed on the
+    // probed slice after recovery. Target the most recent committed
+    // block (or the liveness block when the crash preceded every
+    // commit); the functional read forces the check.
     const Addr probe =
-        committed.empty() ? live_addr : committed.back()->addr;
+        committed.empty() ? live_addr : ops[committed.back()].addr;
     const std::uint64_t viol_before = h.violations();
-    h.scmDevice().tamper(probe, 13, 0x40);
-    h.read(probe);
+    h.sliceDevice(part.shardFor(probe))
+        .tamper(part.localAddr(probe), 13, 0x40);
+    mem::Block sink{};
+    h.read(probe, sink.data());
     out.tamperDetected = h.violations() > viol_before;
     if (!out.tamperDetected)
         out.detail = "post-recovery tamper of a committed block went "
@@ -347,14 +484,15 @@ runCrashSchedule(const ScheduleConfig &cfg)
     const std::vector<Op> ops = makeWorkload(cfg);
     ScheduleReport report;
 
-    // Count pass: enumerate every persist-op boundary once.
+    // Count pass: enumerate every boundary once — engine persist ops
+    // and, for a sharded target, the per-slice drain fences and each
+    // epoch's commit record.
     {
         Harness h(cfg);
         FaultDomain domain;
         h.attach(&domain);
         domain.startCounting();
-        std::vector<const Op *> committed;
-        replay(h, domain, ops, committed);
+        replay(h, domain, ops);
         report.totalBoundaries = domain.events();
     }
 

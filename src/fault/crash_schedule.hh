@@ -3,24 +3,40 @@
  * Exhaustive crash-point scheduling with a differential recovery
  * oracle.
  *
- * A CrashSchedule drives one engine configuration through a fixed,
- * seeded workload three ways:
+ * A CrashSchedule drives one engine configuration — a flat engine,
+ * the hybrid controller, or a ShardedEngine — through a fixed, seeded
+ * workload three ways:
  *
  *  1. Count pass: replay once with the fault domain counting, which
- *     enumerates every persist-op boundary with a stable ID.
+ *     enumerates every persist-op boundary with a stable ID. A sharded
+ *     engine adds boundaries of its own: the fence after each slice's
+ *     epoch drain and the cross-shard commit record's persist. An
+ *     attached fault domain forces serial slice-order drains, so these
+ *     IDs are stable too.
  *  2. Injection passes: re-execute the workload once per selected
  *     boundary k, crashing exactly there, then run recovery.
  *  3. Oracle: after each recovery the engine must satisfy the
  *     differential checks below, or the boundary is reported with
  *     enough detail to reproduce it (AMNT_FAULT_POINT=<id>).
  *
+ * A write is committed iff its commit point persisted before the
+ * crash. A flat or hybrid engine commits op by op: the in-flight op
+ * counts iff its commit group closed before the boundary fired. A
+ * sharded engine commits by epoch: a write counts iff its epoch is at
+ * most committedEpoch() after recovery. A crash between a slice's
+ * drain and the commit record leaves the epoch TORN, and recovery
+ * must roll every slice back to the last fully-committed epoch.
+ *
  * The oracle per boundary:
- *  - recovery must succeed (root/register verification passes);
- *  - every block the volatile shadow copy says was durably committed
- *    must decrypt bit-exactly, with zero integrity violations;
- *  - the recovered counter state must agree with a Volatile reference
- *    engine replaying only the committed writes (the cross-protocol
- *    agreement property of test_protocol_differential);
+ *  - recovery must succeed (root/register verification passes, on
+ *    every slice);
+ *  - every committed block must decrypt bit-exactly, with zero
+ *    integrity violations;
+ *  - each slice's recovered counter state must agree with a Volatile
+ *    reference engine replaying only that slice's committed writes,
+ *    after epoch coalescing (the cross-protocol agreement property of
+ *    test_protocol_differential); a flat engine is one slice whose
+ *    epochs hold one op each;
  *  - a post-recovery tamper of a committed block must still be
  *    detected;
  *  - the engine must accept new writes (liveness).
@@ -54,9 +70,23 @@ struct ScheduleConfig
     bool hybrid = false;
 
     /**
+     * Drive a ShardedEngine with this many slices (each gets
+     * dataBytes / slices); 0 drives an unsharded engine. Exclusive
+     * with hybrid.
+     */
+    unsigned slices = 0;
+
+    /**
+     * Buffered writes per epoch of a sharded run. Small on purpose:
+     * the boundary stream must cross many epoch closes (drain fences
+     * + commit records), not just engine persist ops.
+     */
+    std::uint64_t epochWrites = 8;
+
+    /**
      * Engine geometry. trackContents is forced on (the oracle needs
      * functional contents); for hybrid runs dataBytes sizes each
-     * partition.
+     * partition, for sharded runs it is the total over all slices.
      */
     mee::MeeConfig mee;
 
@@ -86,7 +116,7 @@ struct BoundaryOutcome
 
     /**
      * Slices rolled back to the committed epoch during recovery
-     * (sharded schedules only; 0 on the per-engine matrix). Lets
+     * (sharded targets only; 0 for flat and hybrid ones). Lets
      * coverage tests assert the boundary stream really contains
      * torn-epoch cases instead of only clean-commit crashes.
      */

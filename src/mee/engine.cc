@@ -191,17 +191,16 @@ MemoryEngine::persistBytesMany(const Addr *addrs,
         // injected crash at block k leaves blocks < k fully persisted
         // (bytes AND recorded MAC) and blocks >= k fully untouched.
         std::uint64_t macs[kPersistBatch];
-        if (obs::hostTimingEnabled()) {
-            const auto t0 = std::chrono::steady_clock::now();
-            crypto_.hash->mac64xN(reqs, m, macs);
-            const auto t1 = std::chrono::steady_clock::now();
+        const bool timed = obs::hostTimingEnabled();
+        std::chrono::steady_clock::time_point t0;
+        if (timed)
+            t0 = std::chrono::steady_clock::now();
+        crypto_.hash->mac64xN(reqs, m, macs);
+        if (timed)
             hostCryptoBatchNs_.add(static_cast<double>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    t1 - t0)
+                    std::chrono::steady_clock::now() - t0)
                     .count()));
-        } else {
-            crypto_.hash->mac64xN(reqs, m, macs);
-        }
         trace_.instant(obs::EventClass::CryptoBatch, m);
         std::size_t j = 0;
         for (std::size_t k = 0; k < chunk; ++k) {

@@ -405,32 +405,13 @@ ShardedEngine::flush()
         pending = pending || !shard->pendingEmpty();
     if (!pending)
         return;
-    if (pipelined()) {
-        waitInflight();
-        if (inflightEpoch_ != 0) {
-            commitRecord(inflightEpoch_);
-            inflightEpoch_ = 0;
-        }
-        for (auto &shard : shards_)
-            shard->swapInflight();
-        for (auto &shard : shards_) {
-            EngineShard *s = shard.get();
-            if (!s->inflightEmpty())
-                pool_->submit([s] { s->drainInflight(); });
-        }
-        waitInflight();
-        commitRecord(currentEpoch_);
-    } else {
-        for (auto &shard : shards_) {
-            shard->drainPending();
-            if (fd_ != nullptr)
-                fd_->persistPoint();
-        }
-        commitRecord(currentEpoch_);
+    closeEpoch();
+    // A pipelined close leaves the epoch draining on the lanes.
+    waitInflight();
+    if (inflightEpoch_ != 0) {
+        commitRecord(inflightEpoch_);
+        inflightEpoch_ = 0;
     }
-    ++currentEpoch_;
-    writesThisEpoch_ = 0;
-    opsThisEpoch_ = 0;
 }
 
 void

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -22,6 +23,17 @@ struct StormParams
     bool amntpp;
     std::uint64_t seed;
 };
+
+/**
+ * Print the case for gtest (and the ctest names gtest_discover_tests
+ * derives): the default byte dump includes the struct's uninitialised
+ * padding, so names would change from run to run.
+ */
+void
+PrintTo(const StormParams &p, std::ostream *os)
+{
+    *os << (p.amntpp ? "amntpp" : "buddy") << " seed " << p.seed;
+}
 
 class AllocatorStorm : public ::testing::TestWithParam<StormParams>
 {
