@@ -1,6 +1,7 @@
 #include "bmt/tree.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -74,7 +75,50 @@ const mem::Block &
 TreeState::node(NodeRef ref) const
 {
     auto it = nodes_.find(geo_->linearId(ref));
-    return it == nodes_.end() ? kZeroBlock : it->second;
+    if (it == nodes_.end())
+        return kZeroBlock;
+    NodeValue &n = it->second;
+    if (n.stale != 0)
+        settle(ref, n);
+    return n.bytes;
+}
+
+void
+TreeState::settle(NodeRef ref, NodeValue &n) const
+{
+    // Gather every stale entry's input (children settled first), then
+    // MAC the non-zero ones in one burst; zero blocks hash to 0.
+    const bool deepest = ref.level == geo_->nodeLevels();
+    mem::Block counter_bytes[kTreeArity]{};
+    crypto::MacRequest reqs[kTreeArity]{};
+    unsigned slots[kTreeArity]{};
+    std::size_t nreq = 0;
+    for (unsigned mask = n.stale; mask != 0; mask &= mask - 1) {
+        const auto slot = static_cast<unsigned>(std::countr_zero(mask));
+        const mem::Block *bytes = nullptr;
+        Addr tweak = 0;
+        if (deepest) {
+            const std::uint64_t idx = ref.index * kTreeArity + slot;
+            counter_bytes[slot] = counterBytes(idx);
+            bytes = &counter_bytes[slot];
+            tweak = counterBase_ + idx * kBlockSize;
+        } else {
+            const NodeRef child = geo_->childOf(ref, slot);
+            bytes = &node(child);
+            tweak = nodeAddr(child);
+        }
+        if (isZeroBlock(*bytes)) {
+            store64le(n.bytes.data() + slot * kHashBytes, 0);
+            continue;
+        }
+        reqs[nreq] = {bytes->data(), bytes->size(), tweak};
+        slots[nreq++] = slot;
+    }
+    std::uint64_t macs[kTreeArity]{};
+    hash_->mac64xN(reqs, nreq, macs);
+    for (std::size_t i = 0; i < nreq; ++i)
+        store64le(n.bytes.data() + slots[i] * kHashBytes, macs[i]);
+    n.stale = 0;
 }
 
 std::uint64_t
@@ -95,11 +139,11 @@ TreeState::hashNodeBytes(NodeRef ref, const mem::Block &bytes) const
     return hash_->mac64(bytes.data(), bytes.size(), nodeAddr(ref));
 }
 
-const mem::Block &
+mem::Block
 TreeState::counterBytes(std::uint64_t idx) const
 {
-    auto it = counterBytes_.find(idx);
-    return it == counterBytes_.end() ? kZeroBlock : it->second;
+    auto it = counters_.find(idx);
+    return it == counters_.end() ? kZeroBlock : it->second.serialize();
 }
 
 void
@@ -107,32 +151,28 @@ TreeState::setEntry(NodeRef ref, unsigned slot, std::uint64_t value)
 {
     // try_emplace value-initializes fresh blocks to all-zero.
     auto it = nodes_.try_emplace(geo_->linearId(ref)).first;
-    store64le(it->second.data() + slot * kHashBytes, value);
-}
-
-void
-TreeState::updatePath(std::uint64_t idx)
-{
-    const Geometry &geo = *geo_;
-    // Deepest node holds the counter hash.
-    NodeRef ref = geo.leafNodeOf(idx);
-    setEntry(ref, static_cast<unsigned>(idx % kTreeArity),
-             hashCounterBytes(idx, counterBytes(idx)));
-    // Propagate to the root.
-    while (ref.level > 1) {
-        const NodeRef parent = Geometry::parentOf(ref);
-        setEntry(parent, Geometry::slotOf(ref),
-                 hashNodeBytes(ref, node(ref)));
-        ref = parent;
-    }
+    store64le(it->second.bytes.data() + slot * kHashBytes, value);
 }
 
 void
 TreeState::setCounter(std::uint64_t idx, const CounterBlock &value)
 {
     counters_[idx] = value;
-    counterBytes_[idx] = value.serialize();
-    updatePath(idx);
+    // Mark leaf to root. A node that was already stale has its own
+    // entry marked in every ancestor, so the walk stops there. Fresh
+    // nodes are inserted leaf first, as an eager path update would.
+    NodeRef ref = geo_->leafNodeOf(idx);
+    unsigned slot = static_cast<unsigned>(idx % kTreeArity);
+    while (true) {
+        NodeValue &n =
+            nodes_.try_emplace(geo_->linearId(ref)).first->second;
+        const bool was_stale = n.stale != 0;
+        n.stale |= static_cast<std::uint8_t>(1u << slot);
+        if (was_stale || ref.level == 1)
+            return;
+        slot = Geometry::slotOf(ref);
+        ref = Geometry::parentOf(ref);
+    }
 }
 
 std::uint64_t
@@ -175,15 +215,18 @@ void
 TreeState::forEachNode(
     const std::function<void(NodeRef, const mem::Block &)> &visitor) const
 {
-    for (const auto &kv : nodes_)
-        visitor(geo_->nodeOfLinearId(kv.first), kv.second);
+    for (const auto &kv : nodes_) {
+        const NodeRef ref = geo_->nodeOfLinearId(kv.first);
+        if (kv.second.stale != 0)
+            settle(ref, kv.second);
+        visitor(ref, kv.second.bytes);
+    }
 }
 
 std::uint64_t
 TreeState::rebuildFromNvm(const mem::NvmDevice &nvm)
 {
     counters_.clear();
-    counterBytes_.clear();
     nodes_.clear();
     const Addr lo = map_->counterBase();
     const Addr hi = map_->hmacBase();
@@ -195,18 +238,19 @@ TreeState::rebuildFromNvm(const mem::NvmDevice &nvm)
         idxs.push_back(idx);
     });
     std::sort(idxs.begin(), idxs.end());
-    // Re-serialize rather than caching the raw persisted bytes: the
+    // Re-serialize rather than hashing the raw persisted bytes: the
     // hash chain must be computed over the canonical encoding, exactly
-    // as the pre-crash updatePath did (tampered non-canonical bytes
+    // as settling the pre-crash tree did (tampered non-canonical bytes
     // must not leak into the rebuilt tree).
+    std::vector<mem::Block> bytes;
+    bytes.reserve(idxs.size());
     for (std::uint64_t idx : idxs)
-        counterBytes_[idx] = counters_.find(idx)->second.serialize();
+        bytes.push_back(counters_.find(idx)->second.serialize());
 
     // Level-by-level rebuild: every entry of a level is final before
     // the level itself is hashed, so each touched node is MACed
-    // exactly once (the per-counter updatePath walk re-hashes shared
-    // ancestors once per descendant), and each level's hashes go
-    // through one batched mac64xN burst.
+    // exactly once, and each level's hashes go through one batched
+    // mac64xN burst. The rebuilt tree has no stale entries.
     const unsigned deepest = geo_->nodeLevels();
 
     // Counter leaves -> deepest node level.
@@ -214,8 +258,8 @@ TreeState::rebuildFromNvm(const mem::NvmDevice &nvm)
         std::vector<std::uint64_t> macs;
         batchHash(
             *hash_, idxs.size(),
-            [this, &idxs](std::size_t i) -> const mem::Block & {
-                return counterBytes(idxs[i]);
+            [&bytes](std::size_t i) -> const mem::Block & {
+                return bytes[i];
             },
             [this, &idxs](std::size_t i) {
                 return counterBase_ + idxs[i] * kBlockSize;

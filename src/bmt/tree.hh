@@ -8,6 +8,12 @@
  * possibly-stale *persisted* values; which of the two a protocol keeps
  * in sync is exactly the metadata-persistence policy under study.
  *
+ * Node hashes are maintained lazily, the way a write-back metadata
+ * cache moves them: setCounter() only marks the entries on the path
+ * to the root stale (an 8-bit mask per node), and every reader of
+ * node bytes settles the stale entries beneath the node it reads
+ * first. Pending staleness is never observable through the interface.
+ *
  * Sparse convention: untouched blocks are all-zero and their hash
  * entry is 0, so only touched paths are materialized even for
  * terabyte-scale trees.
@@ -43,12 +49,17 @@ class TreeState
     const CounterBlock &counter(std::uint64_t idx) const;
 
     /**
-     * Mutate the counter for page @p idx then refresh the ancestral
-     * hash path (deepest node up to the root register value).
+     * Store the counter for page @p idx and mark its hash entry, and
+     * each ancestor's entry up to the first node already stale, for
+     * settling on the next read. No hashing happens here.
      */
     void setCounter(std::uint64_t idx, const CounterBlock &value);
 
-    /** Latest bytes of node @p ref (zero block when untouched). */
+    /**
+     * Latest bytes of node @p ref (zero block when untouched). The
+     * reference stays valid until the next setCounter() or
+     * rebuildFromNvm().
+     */
     const mem::Block &node(NodeRef ref) const;
 
     /** 64-bit hash of the latest root node; 0 for an empty tree. */
@@ -63,7 +74,7 @@ class TreeState
                                 const mem::Block &bytes) const;
 
     /** Serialized latest counter block (zero block when untouched). */
-    const mem::Block &counterBytes(std::uint64_t idx) const;
+    mem::Block counterBytes(std::uint64_t idx) const;
 
     /**
      * Verify bytes fetched from NVM for counter @p idx against the
@@ -106,8 +117,19 @@ class TreeState
     const Geometry &geometry() const { return *geo_; }
 
   private:
-    /** Recompute the parent-entry chain for counter @p idx. */
-    void updatePath(std::uint64_t idx);
+    /** Node bytes plus the mask of entries not yet re-hashed. */
+    struct NodeValue
+    {
+        mem::Block bytes{};
+        std::uint8_t stale = 0;
+    };
+
+    /**
+     * Re-hash the stale entries of @p n (node @p ref), settling each
+     * stale child first. Never inserts, so references into nodes_
+     * stay valid across the recursion.
+     */
+    void settle(NodeRef ref, NodeValue &n) const;
 
     /** Set entry @p slot of node @p ref to @p value. */
     void setEntry(NodeRef ref, unsigned slot, std::uint64_t value);
@@ -129,14 +151,15 @@ class TreeState
     Addr counterBase_;
     Addr treeBase_;
 
+    // Counters are serialized on demand (counterBytes()): with lazy
+    // hashing a write neither hashes nor persists through this class,
+    // so packing the 7-bit minors at every mutation would be waste.
     FlatMap<std::uint64_t, CounterBlock> counters_;
-    // Serialized form of every entry in counters_, maintained by
-    // setCounter/rebuildFromNvm: each write hashes and persists the
-    // same serialized bytes, so packing the 7-bit minors once per
-    // mutation instead of per reader keeps serialize() off the
-    // per-access path.
-    FlatMap<std::uint64_t, mem::Block> counterBytes_;
-    FlatMap<std::uint64_t, mem::Block> nodes_;
+    // Keyed by linear node id. Settling rewrites entries through
+    // const readers, hence mutable; insertion happens only in
+    // setCounter() and rebuildFromNvm(), so slot order (and with it
+    // forEachNode's order) is a function of the write history alone.
+    mutable FlatMap<std::uint64_t, NodeValue> nodes_;
 };
 
 } // namespace amnt::bmt

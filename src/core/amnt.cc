@@ -181,7 +181,11 @@ void
 AmntStrategy::onCrash()
 {
     // The history buffer is volatile; the subtree-root register and
-    // the global root register are non-volatile and survive.
+    // the global root register are non-volatile and survive. The
+    // architectural tree is about to be rebuilt, so the register
+    // keeps its value from here on.
+    latchedRegister_ = subtreeRegister();
+    registerLatched_ = true;
     history_.reset(region_);
     writesThisInterval_ = 0;
 }
@@ -198,7 +202,7 @@ AmntStrategy::recover()
     mee::RecoveryReport scratch;
     rebuildAndVerify(scratch);
     const bool subtree_ok = tree().node(subtreeRoot()) ==
-                            subtreeRegister_;
+                            subtreeRegister();
     report.success = scratch.success && subtree_ok;
 
     // Work model: only the fast subtree was allowed to be stale, so

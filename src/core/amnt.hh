@@ -119,13 +119,21 @@ class AmntStrategy : public mee::ProtocolStrategy
     /** History buffer (testing). */
     const HistoryBuffer &history() const { return history_; }
 
+    /** Current value of the NV subtree-root register (testing). */
+    const mem::Block &
+    subtreeRegister() const
+    {
+        return registerLatched_ ? latchedRegister_
+                                : tree().node(subtreeRoot());
+    }
+
     std::unique_ptr<mee::ProtocolShadow>
     cloneShadow() const override
     {
         auto snap = std::make_unique<Snapshot>();
         snap->region = region_;
         snap->bootstrapped = bootstrapped_;
-        snap->subtreeRegister = subtreeRegister_;
+        snap->subtreeRegister = subtreeRegister();
         return snap;
     }
 
@@ -135,7 +143,8 @@ class AmntStrategy : public mee::ProtocolStrategy
         const auto &s = static_cast<const Snapshot &>(snap);
         region_ = s.region;
         bootstrapped_ = s.bootstrapped;
-        subtreeRegister_ = s.subtreeRegister;
+        latchedRegister_ = s.subtreeRegister;
+        registerLatched_ = true;
     }
 
   protected:
@@ -166,12 +175,13 @@ class AmntStrategy : public mee::ProtocolStrategy
     /** Flush old-subtree dirty metadata and the root path; retarget. */
     void moveSubtreeTo(std::uint64_t new_region);
 
-    /** Refresh the NV subtree-root register from architecture. */
-    void
-    refreshSubtreeRegister()
-    {
-        subtreeRegister_ = tree().node(subtreeRoot());
-    }
+    /**
+     * Point the NV subtree-root register back at the live subtree
+     * root node: every write that changes that node refreshes the
+     * register, so while live it reads the node instead of copying
+     * it (which would settle the node's lazy hashes on every write).
+     */
+    void refreshSubtreeRegister() { registerLatched_ = false; }
 
     HistoryBuffer history_;
 
@@ -185,8 +195,13 @@ class AmntStrategy : public mee::ProtocolStrategy
     /** Cleared until the first data write adopts its region. */
     bool bootstrapped_ = false;
 
-    /** NV on-chip register: latest bytes of the subtree root node. */
-    mem::Block subtreeRegister_{};
+    /**
+     * NV on-chip register holding the subtree root node's bytes. It
+     * reads the live node until a crash or a shadow restore latches
+     * a value here; it starts latched at zero, before bootstrap.
+     */
+    mem::Block latchedRegister_{};
+    bool registerLatched_ = true;
 };
 
 /**

@@ -110,11 +110,70 @@ TEST(Subtree, MovementFlushesOldSubtree)
 
 TEST(Subtree, RegisterTracksSubtreeRootNode)
 {
-    Rig rig(mee::Protocol::Amnt, amntConfig(2, 1 << 30));
-    test::writePattern(*rig.engine, 0x1000, 1);
-    const auto root = amnt(rig).subtreeRoot();
+    Rig rig(mee::Protocol::Amnt, amntConfig(2, 64));
+    auto &e = amnt(rig);
+    const bmt::TreeState &tree = rig.engine->treeState();
+    for (int i = 0; i < 8; ++i)
+        test::writePattern(*rig.engine, i * 4096, i); // region 0
+    const auto root = e.subtreeRoot();
     EXPECT_EQ(root.level, 2u);
     EXPECT_EQ(root.index, 0ull);
+    const mem::Block inside = e.subtreeRegister();
+    EXPECT_NE(inside, mem::Block{});
+    EXPECT_EQ(inside, tree.node(root));
+
+    // An outside write leaves the register alone.
+    test::writePattern(*rig.engine, 200 * 4096, 8); // region 3
+    EXPECT_EQ(e.subtreeRegister(), inside);
+
+    // Movement retargets it to the new subtree root.
+    for (int i = 0; i < 64; ++i)
+        test::writePattern(*rig.engine, (192 + i % 16) * 4096, 9 + i);
+    ASSERT_EQ(e.currentRegion(), 3ull);
+    EXPECT_EQ(e.subtreeRegister(), tree.node(e.subtreeRoot()));
+    EXPECT_NE(e.subtreeRegister(), inside);
+
+    // Crash and recovery keep the pre-crash value.
+    const mem::Block before_crash = e.subtreeRegister();
+    rig.engine->crash();
+    EXPECT_EQ(e.subtreeRegister(), before_crash);
+    ASSERT_TRUE(rig.engine->recover().success);
+    EXPECT_EQ(e.subtreeRegister(), before_crash);
+    EXPECT_EQ(rig.engine->treeState().node(e.subtreeRoot()),
+              before_crash);
+
+    // A shadow restore latches the snapshot's value; the next inside
+    // write makes the register live again.
+    const auto snap = e.cloneShadow();
+    test::writePattern(*rig.engine, 193 * 4096, 100);
+    const bmt::TreeState &rebuilt = rig.engine->treeState();
+    const mem::Block after_write = e.subtreeRegister();
+    EXPECT_NE(after_write, before_crash);
+    EXPECT_EQ(after_write, rebuilt.node(e.subtreeRoot()));
+    e.restoreShadow(*snap);
+    EXPECT_EQ(e.subtreeRegister(), before_crash);
+    test::writePattern(*rig.engine, 194 * 4096, 101);
+    EXPECT_EQ(e.subtreeRegister(), rebuilt.node(e.subtreeRoot()));
+    EXPECT_NE(e.subtreeRegister(), after_write);
+}
+
+TEST(Subtree, RegisterKeepsPreCrashValueThroughFailedRecovery)
+{
+    Rig rig(mee::Protocol::Amnt, amntConfig(2, 1 << 30));
+    auto &e = amnt(rig);
+    for (int i = 0; i < 4; ++i)
+        test::writePattern(*rig.engine, i * 4096, i); // region 0
+    const mem::Block before_crash = e.subtreeRegister();
+    rig.engine->crash();
+    // A tampered in-subtree counter changes the rebuilt subtree root;
+    // the register must still hold the value it had at the crash.
+    const Addr counter2 =
+        rig.engine->map().counterBase() + 2 * kBlockSize;
+    ASSERT_TRUE(rig.nvm->tamper(counter2, 3, 0x10));
+    EXPECT_FALSE(rig.engine->recover().success);
+    EXPECT_EQ(e.subtreeRegister(), before_crash);
+    EXPECT_NE(rig.engine->treeState().node(e.subtreeRoot()),
+              before_crash);
 }
 
 TEST(Subtree, LevelValidation)
