@@ -46,7 +46,7 @@ main(int argc, char **argv)
     }
     applyWorkloadOverride(jobs, argc, argv);
     applyProtocolOverride(jobs, argc, argv);
-    const std::vector<sweep::Outcome> outcomes = sweepConfigs(jobs);
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
     const double base_cycles =
         static_cast<double>(outcomes[0].result.cycles);
     json.result("volatile baseline", jobs[0], outcomes[0], 1.0);

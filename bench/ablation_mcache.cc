@@ -39,7 +39,7 @@ main(int argc, char **argv)
     }
     applyWorkloadOverride(jobs, argc, argv);
     applyProtocolOverride(jobs, argc, argv);
-    const std::vector<sweep::Outcome> outcomes = sweepConfigs(jobs);
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
 
     TextTable table;
     table.header({"mcache", "mcache hit rate", "anubis", "amnt",

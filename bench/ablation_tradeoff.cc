@@ -43,7 +43,7 @@ main(int argc, char **argv)
                            procs, instr, warmup));
     applyWorkloadOverride(jobs, argc, argv);
     applyProtocolOverride(jobs, argc, argv);
-    const std::vector<sweep::Outcome> outcomes = sweepConfigs(jobs);
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
 
     const double base_cycles =
         static_cast<double>(outcomes[0].result.cycles);

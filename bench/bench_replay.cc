@@ -17,7 +17,7 @@
  *   bench_replay [--json out.json] [--protocol=NAME] [--shards=N,M]
  *
  * `--shards=` adds sharded-engine legs (shard/sharded_engine.hh) at
- * the given drain-lane counts on top of the legacy run; their rows
+ * the given drain-lane counts on top of the flat-memory run; their rows
  * carry a "shards" field and the history check keys them separately.
  *
  * AMNT_BENCH_INSTR / AMNT_BENCH_WARMUP / AMNT_BENCH_SCALE shape the
@@ -65,7 +65,7 @@ record(const std::string &preset, const std::string &path,
 
 /**
  * One timed replay; returns simulated data accesses per second.
- * @p shards 0 runs the legacy single-engine path; N >= 1 runs the
+ * @p shards 0 runs the flat secure memory; N >= 1 runs the
  * sharded model on N drain lanes (simulated results identical across
  * N — only this wall-clock rate moves).
  */
@@ -107,7 +107,7 @@ main(int argc, char **argv)
              : core::allProtocols();
 
     // `--shards=N[,M...]`: bench the sharded engine at those lane
-    // counts after the legacy run. Rows carry a "shards" field so the
+    // counts after the flat-memory run. Rows carry a "shards" field so the
     // history check keys (protocol, preset, shards) independently.
     const std::vector<unsigned> shard_list =
         bench::shardsOverride(argc, argv);

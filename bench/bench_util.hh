@@ -11,7 +11,7 @@
  * is the reproduction target; see EXPERIMENTS.md.
  *
  * Harnesses enqueue their whole configuration matrix as sweep::Jobs
- * and execute it once through sweepConfigs(), which fans the
+ * and execute it once through sweep::run(), which fans the
  * independent simulations out over a work-stealing thread pool
  * (AMNT_SWEEP_THREADS workers) and returns outcomes in submission
  * order — tables are formatted from the outcome vector afterwards, so
@@ -49,8 +49,10 @@
 #ifndef AMNT_BENCH_BENCH_UTIL_HH
 #define AMNT_BENCH_BENCH_UTIL_HH
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -144,8 +146,8 @@ protocolOverride(int argc, char **argv)
 
 /**
  * Parse a `--shards=N[,M...]` / `--shards N[,M...]` override: the
- * sharded-engine lane counts to bench in addition to the legacy
- * single-engine run (see shard/sharded_engine.hh — the lane count is
+ * sharded-engine lane counts to bench in addition to the flat
+ * secure-memory run (see shard/sharded_engine.hh — the lane count is
  * host execution policy, so simulated results are byte-identical
  * across the list; only wall-clock throughput moves). Returns an
  * empty list when the flag is absent; fatal on malformed values.
@@ -267,18 +269,6 @@ applyWorkloadOverride(std::vector<sweep::Job> &jobs, int argc,
     }
 }
 
-/**
- * Execute the whole configuration matrix on the sweep pool and return
- * the outcomes in submission order (deterministic: each job owns its
- * full simulator, so outcome i is bit-identical to running job i
- * alone).
- */
-inline std::vector<sweep::Outcome>
-sweepConfigs(const std::vector<sweep::Job> &jobs)
-{
-    return sweep::run(jobs);
-}
-
 /** Convenience builder for the common one-config job. */
 inline sweep::Job
 makeJob(sim::SystemConfig cfg,
@@ -286,22 +276,6 @@ makeJob(sim::SystemConfig cfg,
         std::uint64_t warmup)
 {
     return sweep::Job{std::move(cfg), std::move(procs), instr, warmup};
-}
-
-/**
- * Run one configuration serially, in place. Kept for callers outside
- * the harnesses (tests, examples); the harnesses themselves batch
- * through sweepConfigs().
- */
-inline sim::RunResult
-runConfig(sim::SystemConfig cfg,
-          const std::vector<sim::WorkloadConfig> &procs,
-          std::uint64_t instr, std::uint64_t warmup)
-{
-    sim::System sys(cfg);
-    for (const auto &w : procs)
-        sys.addProcess(w);
-    return sys.run(instr, warmup);
 }
 
 /** AMNT_BENCH_STATS: embed registry snapshots in JSON rows. */
@@ -399,8 +373,10 @@ class JsonRow
 
 /**
  * Machine-readable results file, enabled by `--json <path>` or
- * AMNT_BENCH_JSON. Rows accumulate in memory and flush as one JSON
- * document ({"bench": ..., "rows": [...]}) at destruction; when
+ * AMNT_BENCH_JSON. The file opens at construction, so a bad path is
+ * fatal before any simulation runs; rows accumulate in memory and
+ * flush as one JSON document ({"bench": ..., "rows": [...]}) at
+ * destruction, where a failed write or close is fatal too. When
  * disabled every call is a no-op.
  */
 class JsonSink
@@ -415,6 +391,12 @@ class JsonSink
             if (std::string(argv[i]) == "--json")
                 path_ = argv[i + 1];
         }
+        if (path_.empty())
+            return;
+        file_ = std::fopen(path_.c_str(), "w");
+        if (file_ == nullptr)
+            fatal("bench: cannot open JSON output %s: %s",
+                  path_.c_str(), std::strerror(errno));
     }
 
     JsonSink(const JsonSink &) = delete;
@@ -422,24 +404,21 @@ class JsonSink
 
     ~JsonSink()
     {
-        if (path_.empty())
+        if (file_ == nullptr)
             return;
-        std::FILE *f = std::fopen(path_.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "bench: cannot write JSON to %s\n",
-                         path_.c_str());
-            return;
-        }
-        std::fprintf(f, "{\"bench\": \"%s\", \"rows\": [",
+        std::fprintf(file_, "{\"bench\": \"%s\", \"rows\": [",
                      bench_.c_str());
         for (std::size_t i = 0; i < rows_.size(); ++i)
-            std::fprintf(f, "%s\n  %s", i == 0 ? "" : ",",
+            std::fprintf(file_, "%s\n  %s", i == 0 ? "" : ",",
                          rows_[i].c_str());
-        std::fprintf(f, "\n]}\n");
-        std::fclose(f);
+        std::fprintf(file_, "\n]}\n");
+        const bool write_failed = std::ferror(file_) != 0;
+        if (std::fclose(file_) != 0 || write_failed)
+            fatal("bench: writing JSON output %s failed",
+                  path_.c_str());
     }
 
-    bool enabled() const { return !path_.empty(); }
+    bool enabled() const { return file_ != nullptr; }
 
     /** Append an arbitrary row. */
     void
@@ -490,6 +469,7 @@ class JsonSink
   private:
     std::string bench_;
     std::string path_;
+    std::FILE *file_ = nullptr;
     std::vector<std::string> rows_;
 };
 

@@ -90,7 +90,7 @@ main(int argc, char **argv)
     }
     applyWorkloadOverride(jobs, argc, argv);
     applyProtocolOverride(jobs, argc, argv);
-    const std::vector<sweep::Outcome> outcomes = sweepConfigs(jobs);
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
 
     // Both jobs share the 8 GB map, so the level-3 region width is a
     // property of the geometry alone.

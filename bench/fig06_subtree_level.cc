@@ -39,7 +39,7 @@ main(int argc, char **argv)
     }
     applyWorkloadOverride(jobs, argc, argv);
     applyProtocolOverride(jobs, argc, argv);
-    const std::vector<sweep::Outcome> outcomes = sweepConfigs(jobs);
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
     const std::size_t stride = 1 + 2 * (kHiLevel - kLoLevel + 1);
 
     std::size_t pair_no = 0;

@@ -48,7 +48,7 @@ runOnce(mee::Protocol protocol, bool amntpp)
     out.result = sys.run(400000, 200000);
 
     const std::uint64_t frames_per_region =
-        sys.engine().map().geometry().countersPerNode(3);
+        sys.engine().slice(0).map().geometry().countersPerNode(3);
     std::map<std::uint64_t, std::uint64_t> regions;
     std::uint64_t total = 0;
     for (const auto &kv : sys.accessHistogram()) {

@@ -68,26 +68,26 @@ fillAdversarial(mee::Protocol p, const CampaignConfig &cfg,
         row.f64("thrash_p50", s.p50);
         row.f64("thrash_p99", s.p99);
         row.f64("thrash_mcache_hit_rate",
-                h.engine->metaCache().hitRate());
+                h.engine().metaCache().hitRate());
     }
 
     // Phase 2: counter-overflow forcing. kMinorCounterMax + 1 writes
     // wrap one slot once; drive several wraps.
     {
         const std::uint64_t before =
-            h.engine->stats().get("overflow_reencrypts");
+            h.engine().stats().get("overflow_reencrypts");
         const unsigned writes = std::max(
             cfg.ops, 3u * (static_cast<unsigned>(kMinorCounterMax) + 1));
         const Addr hot = 0;
         for (unsigned i = 0; i < writes; ++i) {
             const mem::Block data = patternBlock(hot, salt + i);
             lat.add(static_cast<double>(
-                h.engine->write(hot, data.data())));
+                h.engine().write(hot, data.data())));
         }
         const HistogramSummary s = lat.snapshotAndReset();
         row.u64("overflow_writes", writes);
         row.u64("overflow_reencrypts",
-                h.engine->stats().get("overflow_reencrypts") - before);
+                h.engine().stats().get("overflow_reencrypts") - before);
         row.f64("overflow_p99", s.p99);
     }
 
@@ -104,20 +104,20 @@ fillAdversarial(mee::Protocol p, const CampaignConfig &cfg,
                 ((salt / 3 + v * 97) % (cfg.dataBytes / kBlockSize)) *
                 kBlockSize;
             const mem::Block data = patternBlock(addr, salt + v);
-            h.engine->write(addr, data.data());
-            const std::uint64_t before = h.engine->violations();
-            if (!h.nvm->tamper(addr, (v * 7) % kBlockSize,
+            h.engine().write(addr, data.data());
+            const std::uint64_t before = h.engine().violations();
+            if (!h.device().tamper(addr, (v * 7) % kBlockSize,
                                static_cast<std::uint8_t>(0x11 + v)))
                 continue;
             ++attempts;
-            h.engine->read(addr);
-            if (h.engine->violations() > before)
+            h.engine().read(addr);
+            if (h.engine().violations() > before)
                 ++detected;
             // XOR the flip back out (tamper is involutive): protocols
             // like osiris trial-MAC persisted data during recovery,
             // so leaving the corruption in NVM would fail the phase-4
             // crash oracle for reasons unrelated to the crash.
-            h.nvm->tamper(addr, (v * 7) % kBlockSize,
+            h.device().tamper(addr, (v * 7) % kBlockSize,
                           static_cast<std::uint8_t>(0x11 + v));
         }
         row.u64("live_tamper_attempts", attempts);
@@ -127,10 +127,10 @@ fillAdversarial(mee::Protocol p, const CampaignConfig &cfg,
         // its counter line with a read sweep, flip a persisted byte,
         // then touch the page again to force the verified refetch.
         const Addr victim = 0; // phase 2 hammered page 0
-        const Addr caddr = h.engine->map().counterAddrOf(victim);
+        const Addr caddr = h.engine().map().counterAddrOf(victim);
         sim::Workload evictor(thrashWorkload(cfg, salt ^ 0xe41c));
         unsigned spins = 0;
-        while (h.engine->metaCache().contains(caddr) &&
+        while (h.engine().metaCache().contains(caddr) &&
                spins < 8 * cfg.ops) {
             const sim::MemRef ref = evictor.next();
             if (ref.type == AccessType::Read) {
@@ -139,16 +139,16 @@ fillAdversarial(mee::Protocol p, const CampaignConfig &cfg,
             }
         }
         bool meta_detected = false;
-        if (!h.engine->metaCache().contains(caddr) &&
-            h.nvm->tamper(caddr, 1, 0x20)) {
-            const std::uint64_t before = h.engine->violations();
-            h.engine->read(victim);
-            meta_detected = h.engine->violations() > before;
+        if (!h.engine().metaCache().contains(caddr) &&
+            h.device().tamper(caddr, 1, 0x20)) {
+            const std::uint64_t before = h.engine().violations();
+            h.engine().read(victim);
+            meta_detected = h.engine().violations() > before;
             // XOR the flip back out: the live detection is what this
             // phase measures; leaving NVM corrupted would make the
             // phase-4 crash oracle fail for reasons the protocol is
             // not accountable for.
-            h.nvm->tamper(caddr, 1, 0x20);
+            h.device().tamper(caddr, 1, 0x20);
         }
         row.boolean("meta_tamper_detected", meta_detected);
     }
@@ -177,8 +177,8 @@ fillAdversarial(mee::Protocol p, const CampaignConfig &cfg,
         bool recovered = false;
         double est_ms = 0.0;
         if (fired) {
-            h.engine->crash();
-            const mee::RecoveryReport rep = h.engine->recover();
+            h.engine().crash();
+            const mee::RecoveryReport rep = h.engine().recover();
             recovered = rep.success;
             est_ms = rep.estimatedMs;
         }
@@ -194,12 +194,12 @@ fillAdversarial(mee::Protocol p, const CampaignConfig &cfg,
         for (std::uint64_t i = 0; i < 64; ++i) {
             const Addr addr = i * kPageSize + (i % 8) * kBlockSize;
             const mem::Block data = patternBlock(addr, salt ^ i);
-            h2.engine->write(addr, data.data());
+            h2.engine().write(addr, data.data());
         }
-        h2.engine->crash();
-        h2.nvm->tamper(h2.engine->map().counterBase() + 5 * kBlockSize,
+        h2.engine().crash();
+        h2.device().tamper(h2.engine().map().counterBase() + 5 * kBlockSize,
                        1, 0x10);
-        const mee::RecoveryReport rep = h2.engine->recover();
+        const mee::RecoveryReport rep = h2.engine().recover();
         row.boolean("at_rest_tamper_detected", !rep.success);
         row.boolean("at_rest_detect_expected",
                     profile.tamperAtRestDetects);

@@ -2,7 +2,6 @@
 
 #include "common/bitops.hh"
 #include "common/log.hh"
-#include "core/amnt.hh"
 #include "core/protocol_registry.hh"
 #include "sim/sweep.hh"
 
@@ -61,12 +60,10 @@ Harness::Harness(mee::Protocol p, const mee::MeeConfig &mee_cfg)
 void
 Harness::rebuildFresh()
 {
-    engine.reset();
-    nvm = std::make_unique<mem::NvmDevice>(
-        mem::MemoryMap(mee.dataBytes).deviceBytes());
-    nvm->setFaultDomain(&domain);
+    memory.reset();
+    memory = std::make_unique<core::FlatMemory>(protocol, mee);
+    memory->setFaultDomain(&domain);
     domain.startCounting();
-    engine = core::makeEngine(protocol, mee, *nvm);
 }
 
 Addr
@@ -82,9 +79,9 @@ Harness::access(const sim::MemRef &ref, Addr base, std::uint64_t span,
     const Addr paddr = place(ref.vaddr, base, span);
     if (ref.type == AccessType::Write) {
         const mem::Block data = patternBlock(paddr, salt);
-        return engine->write(paddr, data.data());
+        return memory->write(paddr, data.data());
     }
-    return engine->read(paddr);
+    return memory->read(paddr);
 }
 
 CampaignReport

@@ -1,8 +1,8 @@
 /**
  * @file
  * Internal plumbing shared by the campaign suites: an engine-level
- * driver (one NvmDevice + FaultDomain + MemoryEngine per protocol
- * row, in the style of fault/crash_schedule.cc's Harness) plus the
+ * driver (one core::FlatMemory + FaultDomain per protocol row, in
+ * the style of fault/crash_schedule.cc's Harness) plus the
  * deterministic write-pattern and per-protocol seed helpers.
  */
 
@@ -13,8 +13,8 @@
 #include <memory>
 
 #include "campaign/campaign.hh"
+#include "core/amnt.hh"
 #include "fault/fault.hh"
-#include "mem/nvm_device.hh"
 #include "sim/workload.hh"
 
 namespace amnt::campaign
@@ -31,11 +31,11 @@ std::uint64_t protoSalt(const CampaignConfig &cfg, mee::Protocol p);
 mem::Block patternBlock(Addr addr, std::uint64_t salt);
 
 /**
- * One protocol's simulator for a campaign row: the device, a fault
- * domain in Counting mode (so armAfter can crash mid-workload), and
- * the engine. rebuildFresh() models a cold service restart after an
- * unrecoverable crash (the volatile baseline's contract: data gone,
- * fresh device, fresh engine).
+ * One protocol's simulator for a campaign row: a fault domain in
+ * Counting mode (so armAfter can crash mid-workload) and the flat
+ * memory it watches. rebuildFresh() models a cold service restart
+ * after an unrecoverable crash (the volatile baseline's contract:
+ * data gone, fresh device, fresh engine).
  */
 struct Harness
 {
@@ -55,11 +55,13 @@ struct Harness
     /** Tear down and rebuild device + engine from scratch. */
     void rebuildFresh();
 
+    mee::MemoryEngine &engine() { return memory->engine(); }
+    mem::NvmDevice &device() { return memory->device(); }
+
     mee::Protocol protocol;
     mee::MeeConfig mee;
     fault::FaultDomain domain;
-    std::unique_ptr<mem::NvmDevice> nvm;
-    std::unique_ptr<mee::MemoryEngine> engine;
+    std::unique_ptr<core::FlatMemory> memory;
 };
 
 /**

@@ -127,7 +127,7 @@ fillMultiTenant(mee::Protocol p, const CampaignConfig &cfg,
         if (cfg.collectSamples)
             row.samples.emplace_back(t + "_co", std::move(raw[i]));
     }
-    row.f64("co_mcache_hit_rate", h.engine->metaCache().hitRate());
+    row.f64("co_mcache_hit_rate", h.engine().metaCache().hitRate());
 
     // Phase 3: cross-tenant ciphertext splice. Copy the attacker's
     // persisted ciphertext over the victim's block (byte-wise XOR via
@@ -142,21 +142,21 @@ fillMultiTenant(mee::Protocol p, const CampaignConfig &cfg,
             continue;
         mem::Block a{};
         mem::Block b{};
-        h.nvm->peek(src, a);
-        h.nvm->peek(dst, b);
+        h.device().peek(src, a);
+        h.device().peek(dst, b);
         bool changed = false;
         for (std::size_t k = 0; k < kBlockSize; ++k) {
             const std::uint8_t mask =
                 static_cast<std::uint8_t>(a[k] ^ b[k]);
             if (mask != 0)
-                changed |= h.nvm->tamper(dst, k, mask);
+                changed |= h.device().tamper(dst, k, mask);
         }
         if (!changed)
             continue;
         ++attempts;
-        const std::uint64_t before = h.engine->violations();
-        h.engine->read(dst);
-        if (h.engine->violations() > before)
+        const std::uint64_t before = h.engine().violations();
+        h.engine().read(dst);
+        if (h.engine().violations() > before)
             ++detected;
     }
     row.u64("splice_attempts", attempts);

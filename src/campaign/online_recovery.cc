@@ -97,8 +97,8 @@ fillOnlineRecovery(mee::Protocol p, const CampaignConfig &cfg,
     Cycle backlog = 0;
     bool cold_restart = false;
     {
-        h.engine->crash();
-        const mee::RecoveryReport rep = h.engine->recover();
+        h.engine().crash();
+        const mee::RecoveryReport rep = h.engine().recover();
         row.boolean("recovered", rep.success);
         row.boolean("recover_expected", profile.persistent);
         row.u64("recovery_blocks_read", rep.blocksRead);

@@ -32,6 +32,7 @@
 
 #include "core/history_buffer.hh"
 #include "mee/protocol.hh"
+#include "mee/secure_memory.hh"
 
 namespace amnt::core
 {
@@ -212,6 +213,59 @@ class AmntStrategy : public mee::ProtocolStrategy
 std::unique_ptr<mee::MemoryEngine>
 makeEngine(mee::Protocol p, const mee::MeeConfig &config,
            mem::NvmDevice &nvm);
+
+/**
+ * The flat secure memory: one protocol engine over its own NVM
+ * device, sized from the engine's MemoryMap. What System runs
+ * unsharded, and the building block of both HybridEngine sides and
+ * every shard slice.
+ */
+class FlatMemory final : public mee::SecureMemory
+{
+  public:
+    FlatMemory(mee::Protocol p, const mee::MeeConfig &config,
+               const mem::NvmTiming &timing = mem::NvmTiming());
+
+    Cycle
+    read(Addr addr, std::uint8_t *out = nullptr, unsigned = 0) override
+    {
+        return engine_->read(addr, out);
+    }
+    Cycle
+    write(Addr addr, const std::uint8_t *data = nullptr,
+          unsigned = 0) override
+    {
+        return engine_->write(addr, data);
+    }
+    void crash() override { engine_->crash(); }
+    mee::RecoveryReport recover() override { return engine_->recover(); }
+    std::uint64_t
+    violations() const override
+    {
+        return engine_->violations();
+    }
+    void
+    setFaultDomain(fault::FaultDomain *domain) override
+    {
+        nvm_.setFaultDomain(domain);
+    }
+    void registerStats(obs::StatRegistry &reg) override
+    {
+        registerStats(reg, "");
+    }
+    mee::MemoryEngine &slice(unsigned) override { return *engine_; }
+    mem::NvmDevice &sliceDevice(unsigned) override { return nvm_; }
+
+    /** Federate under "mee<suffix>.*" and "nvm<suffix>.*". */
+    void registerStats(obs::StatRegistry &reg, const std::string &suffix);
+
+    mee::MemoryEngine &engine() { return *engine_; }
+    mem::NvmDevice &device() { return nvm_; }
+
+  private:
+    mem::NvmDevice nvm_;
+    std::unique_ptr<mee::MemoryEngine> engine_;
+};
 
 } // namespace amnt::core
 

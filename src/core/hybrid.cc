@@ -1,7 +1,7 @@
 #include "core/hybrid.hh"
 
 #include "common/log.hh"
-#include "core/protocol_registry.hh"
+#include "obs/registry.hh"
 
 namespace amnt::core
 {
@@ -10,41 +10,27 @@ HybridEngine::HybridEngine(const HybridConfig &config) : config_(config)
 {
     if (config.scmBytes == 0 || config.dramBytes == 0)
         fatal("hybrid machine needs both partitions");
-
     mee::MeeConfig scm_cfg = config.mee;
     scm_cfg.dataBytes = config.scmBytes;
-    scmNvm_ = std::make_unique<mem::NvmDevice>(
-        mem::MemoryMap(scm_cfg.dataBytes).deviceBytes());
-    scm_ = makeEngine(mee::Protocol::Amnt, scm_cfg, *scmNvm_);
+    scm_ = std::make_unique<FlatMemory>(mee::Protocol::Amnt, scm_cfg);
+    bootDram();
+}
 
-    mee::MeeConfig dram_cfg = config.mee;
-    dram_cfg.dataBytes = config.dramBytes;
-    dram_cfg.nvmReadCycles = config.dramReadCycles;
-    dram_cfg.nvmWriteCycles = config.dramWriteCycles;
+void
+HybridEngine::bootDram()
+{
+    mee::MeeConfig dram_cfg = config_.mee;
+    dram_cfg.dataBytes = config_.dramBytes;
+    dram_cfg.nvmReadCycles = config_.dramReadCycles;
+    dram_cfg.nvmWriteCycles = config_.dramWriteCycles;
     // Independent keys per partition.
-    dram_cfg.keySeed = config.mee.keySeed ^ 0xd7a3ULL;
-    dramNvm_ = std::make_unique<mem::NvmDevice>(
-        mem::MemoryMap(dram_cfg.dataBytes).deviceBytes(),
-        mem::NvmTiming{config.dramReadCycles, config.dramWriteCycles,
+    dram_cfg.keySeed = config_.mee.keySeed ^ 0xd7a3ULL;
+    dram_ = std::make_unique<FlatMemory>(
+        mee::Protocol::Volatile, dram_cfg,
+        mem::NvmTiming{config_.dramReadCycles, config_.dramWriteCycles,
                        25.0, 25.0});
-    dram_ =
-        makeEngine(mee::Protocol::Volatile, dram_cfg, *dramNvm_);
-}
-
-Cycle
-HybridEngine::read(Addr addr, std::uint8_t *out)
-{
-    if (isScm(addr))
-        return scm_->read(addr, out);
-    return dram_->read(addr - config_.scmBytes, out);
-}
-
-Cycle
-HybridEngine::write(Addr addr, const std::uint8_t *data)
-{
-    if (isScm(addr))
-        return scm_->write(addr, data);
-    return dram_->write(addr - config_.scmBytes, data);
+    if (registry_ != nullptr)
+        dram_->registerStats(*registry_, ".dram");
 }
 
 void
@@ -54,23 +40,18 @@ HybridEngine::crash()
     // DRAM is volatile: device contents themselves are gone. Model
     // the loss by replacing device and engine wholesale, as a reboot
     // re-initializes the volatile tree from scratch.
-    mee::MeeConfig dram_cfg = config_.mee;
-    dram_cfg.dataBytes = config_.dramBytes;
-    dram_cfg.nvmReadCycles = config_.dramReadCycles;
-    dram_cfg.nvmWriteCycles = config_.dramWriteCycles;
-    dram_cfg.keySeed = config_.mee.keySeed ^ 0xd7a3ULL;
-    dramNvm_ = std::make_unique<mem::NvmDevice>(
-        mem::MemoryMap(dram_cfg.dataBytes).deviceBytes(),
-        mem::NvmTiming{config_.dramReadCycles,
-                       config_.dramWriteCycles, 25.0, 25.0});
-    dram_ =
-        makeEngine(mee::Protocol::Volatile, dram_cfg, *dramNvm_);
+    if (registry_ != nullptr)
+        for (const char *side : {"mee.dram", "host.mee.dram", "nvm.dram"})
+            registry_->remove(side);
+    bootDram();
 }
 
-mee::RecoveryReport
-HybridEngine::recover()
+void
+HybridEngine::registerStats(obs::StatRegistry &reg)
 {
-    return scm_->recover();
+    scm_->registerStats(reg, ".scm");
+    dram_->registerStats(reg, ".dram");
+    registry_ = &reg;
 }
 
 } // namespace amnt::core

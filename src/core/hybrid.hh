@@ -22,7 +22,6 @@
 #include <memory>
 
 #include "core/amnt.hh"
-#include "mee/engine.hh"
 
 namespace amnt::core
 {
@@ -40,9 +39,10 @@ struct HybridConfig
 /**
  * Address-partitioned secure memory controller:
  * [0, scmBytes) is persistent SCM under AMNT; [scmBytes,
- * scmBytes+dramBytes) is DRAM under the volatile scheme.
+ * scmBytes+dramBytes) is DRAM under the volatile scheme. The SCM
+ * side is its one persistent slice.
  */
-class HybridEngine
+class HybridEngine final : public mee::SecureMemory
 {
   public:
     explicit HybridEngine(const HybridConfig &config);
@@ -54,66 +54,67 @@ class HybridEngine
         return addr < config_.scmBytes;
     }
 
-    /** Read one block; dispatches on the partition. */
-    Cycle read(Addr addr, std::uint8_t *out = nullptr);
-
-    /** Write one block; dispatches on the partition. */
-    Cycle write(Addr addr, const std::uint8_t *data = nullptr);
+    /** Read/write one block; dispatches on the partition. */
+    Cycle
+    read(Addr addr, std::uint8_t *out = nullptr, unsigned = 0) override
+    {
+        return isScm(addr) ? scm_->read(addr, out)
+                           : dram_->read(addr - config_.scmBytes, out);
+    }
+    Cycle
+    write(Addr addr, const std::uint8_t *data = nullptr,
+          unsigned = 0) override
+    {
+        return isScm(addr) ? scm_->write(addr, data)
+                           : dram_->write(addr - config_.scmBytes, data);
+    }
 
     /**
      * Power failure: DRAM loses everything (contents included); the
      * SCM side loses only its volatile metadata state.
      */
-    void crash();
+    void crash() override;
 
     /**
      * Recover the SCM partition through AMNT; the DRAM partition
-     * restarts empty with a fresh volatile tree, as on any boot.
+     * already restarted empty with a fresh volatile tree at crash().
      */
-    mee::RecoveryReport recover();
+    mee::RecoveryReport recover() override { return scm_->recover(); }
 
-    /** Violations across both partitions. */
     std::uint64_t
-    violations() const
+    violations() const override
     {
         return scm_->violations() + dram_->violations();
     }
 
-    /** The AMNT-protocol engine protecting SCM. */
-    mee::MemoryEngine &scm() { return *scm_; }
-
-    /** The SCM engine's AMNT strategy (subtree state accessors). */
-    AmntStrategy &
-    amnt()
-    {
-        return static_cast<AmntStrategy &>(scm_->strategy());
-    }
-
-    /** The volatile engine protecting DRAM. */
-    mee::MemoryEngine &dram() { return *dram_; }
-
-    /** Devices (testing / tamper injection). */
-    mem::NvmDevice &scmDevice() { return *scmNvm_; }
-    mem::NvmDevice &dramDevice() { return *dramNvm_; }
-
     /**
-     * Attach fault injection to the persistence domain. Only the SCM
-     * partition has one: DRAM is volatile by definition, so its
-     * device writes are not persist ops and enumerate no crash
-     * points.
+     * Only the SCM partition has a persistence domain: DRAM device
+     * writes are not persist ops and enumerate no crash points.
      */
     void
-    setFaultDomain(fault::FaultDomain *domain)
+    setFaultDomain(fault::FaultDomain *domain) override
     {
-        scmNvm_->setFaultDomain(domain);
+        scm_->setFaultDomain(domain);
     }
 
+    /**
+     * Federate the sides as "mee.scm.*"/"nvm.scm.*" and
+     * "mee.dram.*"/"nvm.dram.*". The DRAM side is rebuilt at every
+     * crash(), which re-registers it: its counters restart with it.
+     */
+    void registerStats(obs::StatRegistry &reg) override;
+
+    mee::MemoryEngine &slice(unsigned) override { return scm_->engine(); }
+    mem::NvmDevice &sliceDevice(unsigned) override { return scm_->device(); }
+
   private:
+    /** Build a fresh, empty DRAM side, as every boot does. */
+    void bootDram();
+
     HybridConfig config_;
-    std::unique_ptr<mem::NvmDevice> scmNvm_;
-    std::unique_ptr<mem::NvmDevice> dramNvm_;
-    std::unique_ptr<mee::MemoryEngine> scm_;
-    std::unique_ptr<mee::MemoryEngine> dram_;
+    std::unique_ptr<FlatMemory> scm_;
+    std::unique_ptr<FlatMemory> dram_;
+    obs::StatRegistry *registry_ = nullptr;
 };
 
 } // namespace amnt::core

@@ -195,4 +195,19 @@ makeEngine(mee::Protocol p, const mee::MeeConfig &config,
                                                makeProtocol(p, config));
 }
 
+FlatMemory::FlatMemory(mee::Protocol p, const mee::MeeConfig &config,
+                       const mem::NvmTiming &timing)
+    : nvm_(mem::MemoryMap(config.dataBytes).deviceBytes(), timing),
+      engine_(makeEngine(p, config, nvm_))
+{
+}
+
+void
+FlatMemory::registerStats(obs::StatRegistry &reg,
+                          const std::string &suffix)
+{
+    engine_->registerStats(reg, "mee" + suffix);
+    nvm_.registerStats(reg, "nvm" + suffix);
+}
+
 } // namespace amnt::core

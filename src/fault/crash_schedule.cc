@@ -81,16 +81,15 @@ makeWorkload(const ScheduleConfig &cfg)
 }
 
 /**
- * Uniform driver over a flat engine, the hybrid controller or a
- * sharded engine. The oracle sees every target as slices behind a
- * partition: a flat or hybrid target is one slice with the identity
- * partition over its persistent data range.
+ * The target under test. The oracle sees every target as slices
+ * behind a partition: a flat or hybrid target is one slice with the
+ * identity partition over its persistent data range. Only a sharded
+ * target's epoch bookkeeping needs its concrete type.
  */
-class Harness
+struct Harness
 {
-  public:
     explicit Harness(const ScheduleConfig &cfg)
-        : part_(cfg.mee.dataBytes, std::max(1u, cfg.slices))
+        : part(cfg.mee.dataBytes, std::max(1u, cfg.slices))
     {
         mee::MeeConfig m = cfg.mee;
         m.trackContents = true; // the oracle needs functional contents
@@ -100,129 +99,24 @@ class Harness
             so.lanes = 1; // injection forces serial drains anyway
             so.epochWrites = cfg.epochWrites;
             so.cores = 1;
-            sharded_ = std::make_unique<shard::ShardedEngine>(
+            auto s = std::make_unique<shard::ShardedEngine>(
                 cfg.protocol, m, so);
+            sharded = s.get();
+            memory = std::move(s);
         } else if (cfg.hybrid) {
             core::HybridConfig hc;
             hc.scmBytes = m.dataBytes;
             hc.dramBytes = m.dataBytes;
             hc.mee = m;
-            hybrid_ = std::make_unique<core::HybridEngine>(hc);
+            memory = std::make_unique<core::HybridEngine>(hc);
         } else {
-            nvm_ = std::make_unique<mem::NvmDevice>(
-                mem::MemoryMap(m.dataBytes).deviceBytes());
-            engine_ = core::makeEngine(cfg.protocol, m, *nvm_);
+            memory = std::make_unique<core::FlatMemory>(cfg.protocol, m);
         }
     }
 
-    void
-    attach(FaultDomain *domain)
-    {
-        if (sharded_ != nullptr)
-            sharded_->setFaultDomain(domain);
-        else if (hybrid_ != nullptr)
-            hybrid_->setFaultDomain(domain);
-        else
-            nvm_->setFaultDomain(domain);
-    }
-
-    Cycle
-    write(Addr addr, const std::uint8_t *data)
-    {
-        if (sharded_ != nullptr)
-            return sharded_->write(addr, data);
-        return hybrid_ != nullptr ? hybrid_->write(addr, data)
-                                  : engine_->write(addr, data);
-    }
-
-    Cycle
-    read(Addr addr, std::uint8_t *out = nullptr)
-    {
-        if (sharded_ != nullptr)
-            return sharded_->read(addr, out);
-        return hybrid_ != nullptr ? hybrid_->read(addr, out)
-                                  : engine_->read(addr, out);
-    }
-
-    /** Commit whatever a sharded engine still buffers. */
-    void
-    flush()
-    {
-        if (sharded_ != nullptr)
-            sharded_->flush();
-    }
-
-    void
-    crash()
-    {
-        if (sharded_ != nullptr)
-            sharded_->crash();
-        else if (hybrid_ != nullptr)
-            hybrid_->crash();
-        else
-            engine_->crash();
-    }
-
-    mee::RecoveryReport
-    recover()
-    {
-        if (sharded_ != nullptr)
-            return sharded_->recover();
-        return hybrid_ != nullptr ? hybrid_->recover()
-                                  : engine_->recover();
-    }
-
-    std::uint64_t
-    violations() const
-    {
-        if (sharded_ != nullptr)
-            return sharded_->violations();
-        return hybrid_ != nullptr ? hybrid_->violations()
-                                  : engine_->violations();
-    }
-
-    /**
-     * The epoch op @p i of the workload is issued in. A sharded
-     * engine buffers ops into its open epoch; a flat or hybrid engine
-     * commits op by op, so op i is its own epoch i + 1 and nothing
-     * coalesces.
-     */
-    std::uint64_t
-    openEpoch(std::size_t i) const
-    {
-        return sharded_ != nullptr ? sharded_->currentEpoch() : i + 1;
-    }
-
-    const shard::ShardedEngine *sharded() const { return sharded_.get(); }
-
-    const shard::Partition &partition() const { return part_; }
-
-    /** The persistent-side engine of slice @p s (the oracle's view). */
-    mee::MemoryEngine &
-    sliceEngine(unsigned s)
-    {
-        if (sharded_ != nullptr)
-            return sharded_->shard(s).engine();
-        return hybrid_ != nullptr
-                   ? static_cast<mee::MemoryEngine &>(hybrid_->scm())
-                   : *engine_;
-    }
-
-    /** The persistent-side device of slice @p s (tamper probes). */
-    mem::NvmDevice &
-    sliceDevice(unsigned s)
-    {
-        if (sharded_ != nullptr)
-            return sharded_->shard(s).device();
-        return hybrid_ != nullptr ? hybrid_->scmDevice() : *nvm_;
-    }
-
-  private:
-    shard::Partition part_;
-    std::unique_ptr<mem::NvmDevice> nvm_;
-    std::unique_ptr<mee::MemoryEngine> engine_;
-    std::unique_ptr<core::HybridEngine> hybrid_;
-    std::unique_ptr<shard::ShardedEngine> sharded_;
+    shard::Partition part;
+    std::unique_ptr<mee::SecureMemory> memory;
+    const shard::ShardedEngine *sharded = nullptr;
 };
 
 /** How far one replay got. */
@@ -254,15 +148,18 @@ replay(Harness &h, const FaultDomain &domain,
     p.epochOf.assign(ops.size(), ~0ull);
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const Op &op = ops[i];
-        // Queried BEFORE the call: the issuing write itself may close
-        // a sharded engine's epoch.
-        p.epochOf[i] = h.openEpoch(i);
+        // A sharded engine buffers ops into its open epoch, queried
+        // BEFORE the call: the issuing write itself may close it. A
+        // flat or hybrid engine commits op by op, so op i is its own
+        // epoch i + 1 and nothing coalesces.
+        p.epochOf[i] =
+            h.sharded != nullptr ? h.sharded->currentEpoch() : i + 1;
         const std::uint64_t closed_before = domain.commitsClosed();
         try {
             if (op.isWrite)
-                h.write(op.addr, patternBlock(op.pattern).data());
+                h.memory->write(op.addr, patternBlock(op.pattern).data());
             else
-                h.read(op.addr);
+                h.memory->read(op.addr);
         } catch (const CrashInjected &) {
             // A flat or hybrid in-flight op committed iff its commit
             // group closed before the boundary fired — the crash then
@@ -276,7 +173,7 @@ replay(Harness &h, const FaultDomain &domain,
     }
     p.committedEpoch = ops.size();
     try {
-        h.flush();
+        h.memory->flush();
     } catch (const CrashInjected &) {
         p.fired = true;
     }
@@ -292,14 +189,15 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
     out.point = point;
 
     Harness h(cfg);
+    mee::SecureMemory &target = *h.memory;
     FaultDomain domain;
-    h.attach(&domain);
+    target.setFaultDomain(&domain);
     domain.arm(point);
 
     // Injection lifecycle on the engine's trace track: the armed
     // boundary id (a1=1 distinguishes it from the organic Crash
     // instant the engine emits when the boundary actually fires).
-    h.sliceEngine(0).tracer().instant(obs::EventClass::Crash, point, 1);
+    target.slice(0).tracer().instant(obs::EventClass::Crash, point, 1);
 
     Progress p = replay(h, domain, ops);
     out.fired = p.fired;
@@ -311,12 +209,12 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
 
     // Crash and recover. The domain disarmed itself when it fired, so
     // recovery and the oracle's own persists run freely.
-    h.crash();
-    const mee::RecoveryReport rec = h.recover();
-    if (h.sharded() != nullptr) {
+    target.crash();
+    const mee::RecoveryReport rec = target.recover();
+    if (h.sharded != nullptr) {
         out.tornSlices =
-            h.sharded()->stats().get("torn_epochs_rolled_back");
-        p.committedEpoch = h.sharded()->committedEpoch();
+            h.sharded->stats().get("torn_epochs_rolled_back");
+        p.committedEpoch = h.sharded->committedEpoch();
     }
     out.recovered = rec.success;
     if (!out.recovered) {
@@ -355,7 +253,7 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
             continue; // superseded by a later committed write
         const mem::Block expect = patternBlock(op.pattern);
         mem::Block got{};
-        h.read(op.addr, got.data());
+        target.read(op.addr, got.data());
         if (got != expect) {
             out.contentsOk = false;
             out.detail = "committed block at address " +
@@ -364,7 +262,7 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
             break;
         }
     }
-    if (out.contentsOk && h.violations() != 0) {
+    if (out.contentsOk && target.violations() != 0) {
         out.contentsOk = false;
         out.detail = "integrity violations while reading committed "
                      "blocks back";
@@ -377,27 +275,24 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
     // coalescing) must agree with the recovered slice on every counter
     // block (both directions, so neither lost nor phantom counters
     // pass).
-    const shard::Partition &part = h.partition();
+    const shard::Partition &part = h.part;
     out.countersMatch = true;
     for (unsigned s = 0; s < part.slices && out.countersMatch; ++s) {
         mee::MeeConfig ref_cfg = cfg.mee;
         ref_cfg.trackContents = true;
         ref_cfg.dataBytes = part.sliceBytes;
-        mem::NvmDevice ref_nvm(
-            mem::MemoryMap(ref_cfg.dataBytes).deviceBytes());
-        const auto ref =
-            core::makeEngine(mee::Protocol::Volatile, ref_cfg, ref_nvm);
+        core::FlatMemory ref(mee::Protocol::Volatile, ref_cfg);
         for (std::size_t i : committed) {
             const Op &op = ops[i];
             if (part.shardFor(op.addr) != s)
                 continue;
             if (last_in_epoch.at({p.epochOf[i], op.addr}) != i)
                 continue; // coalesced into a later same-epoch write
-            ref->write(part.localAddr(op.addr),
+            ref.write(part.localAddr(op.addr),
                        patternBlock(op.pattern).data());
         }
-        const bmt::TreeState &want = ref->treeState();
-        const bmt::TreeState &have = h.sliceEngine(s).treeState();
+        const bmt::TreeState &want = ref.engine().treeState();
+        const bmt::TreeState &have = target.slice(s).treeState();
         want.forEachCounter(
             [&](std::uint64_t idx, const bmt::CounterBlock &cb) {
                 if (have.counter(idx) != cb)
@@ -419,10 +314,10 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
     // (a sharded engine's functional read drains them synchronously).
     const Addr live_addr = 0;
     const mem::Block live = patternBlock(0x11fe ^ point);
-    h.write(live_addr, live.data());
+    target.write(live_addr, live.data());
     mem::Block live_back{};
-    h.read(live_addr, live_back.data());
-    out.liveness = live_back == live && h.violations() == 0;
+    target.read(live_addr, live_back.data());
+    out.liveness = live_back == live && target.violations() == 0;
     if (!out.liveness) {
         out.detail = "post-recovery write/read round trip failed";
         return out;
@@ -434,12 +329,12 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
     // commit); the functional read forces the check.
     const Addr probe =
         committed.empty() ? live_addr : ops[committed.back()].addr;
-    const std::uint64_t viol_before = h.violations();
-    h.sliceDevice(part.shardFor(probe))
+    const std::uint64_t viol_before = target.violations();
+    target.sliceDevice(part.shardFor(probe))
         .tamper(part.localAddr(probe), 13, 0x40);
     mem::Block sink{};
-    h.read(probe, sink.data());
-    out.tamperDetected = h.violations() > viol_before;
+    target.read(probe, sink.data());
+    out.tamperDetected = target.violations() > viol_before;
     if (!out.tamperDetected)
         out.detail = "post-recovery tamper of a committed block went "
                      "undetected";
@@ -490,7 +385,7 @@ runCrashSchedule(const ScheduleConfig &cfg)
     {
         Harness h(cfg);
         FaultDomain domain;
-        h.attach(&domain);
+        h.memory->setFaultDomain(&domain);
         domain.startCounting();
         replay(h, domain, ops);
         report.totalBoundaries = domain.events();

@@ -3,7 +3,7 @@
  * Exhaustive crash-point scheduling with a differential recovery
  * oracle.
  *
- * A CrashSchedule drives one engine configuration — a flat engine,
+ * A CrashSchedule drives one mee::SecureMemory — a core::FlatMemory,
  * the hybrid controller, or a ShardedEngine — through a fixed, seeded
  * workload three ways:
  *

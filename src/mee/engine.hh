@@ -240,9 +240,6 @@ class MemoryEngine
     /** Address map. */
     const mem::MemoryMap &map() const { return map_; }
 
-    /** Backing device. */
-    mem::NvmDevice &nvm() { return *nvm_; }
-
     /** Architectural metadata state (tests and recovery checks). */
     const bmt::TreeState &treeState() const { return *tree_; }
 

@@ -70,6 +70,19 @@ StatRegistry::addScalar(const std::string &path,
     scalars_[path] = std::move(probe);
 }
 
+void
+StatRegistry::remove(const std::string &prefix)
+{
+    const auto below = [&](const auto &entry) {
+        return entry.first == prefix ||
+               entry.first.starts_with(prefix + ".");
+    };
+    std::erase_if(groups_, below);
+    std::erase_if(hists_, below);
+    std::erase_if(scalars_, below);
+    std::erase_if(claimed_, below);
+}
+
 bool
 StatRegistry::empty() const
 {

@@ -61,6 +61,12 @@ class StatRegistry
     void addScalar(const std::string &path,
                    std::function<std::uint64_t()> probe);
 
+    /**
+     * Drop every registration at or below @p prefix, so a component
+     * rebuilt at run time can register its replacement.
+     */
+    void remove(const std::string &prefix);
+
     /** True when nothing has been registered. */
     bool empty() const;
 

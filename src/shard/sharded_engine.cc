@@ -6,7 +6,6 @@
 #include "common/bitops.hh"
 #include "common/env.hh"
 #include "common/log.hh"
-#include "core/amnt.hh"
 #include "obs/registry.hh"
 
 namespace amnt::shard
@@ -48,15 +47,14 @@ resolveOptions(ShardOptions opts)
 // ----------------------------------------------------------------
 // EngineShard
 
-EngineShard::EngineShard(unsigned index, mee::Protocol protocol,
+EngineShard::EngineShard(mee::Protocol protocol,
                          const mee::MeeConfig &slice_config,
                          unsigned cores)
-    : index_(index), laneLatency_(cores, 0)
+    : memory_(protocol, slice_config), laneLatency_(cores, 0)
 {
-    nvm_ = std::make_unique<mem::NvmDevice>(
-        mem::MemoryMap(slice_config.dataBytes).deviceBytes());
-    nvm_->journalEnable();
-    engine_ = core::makeEngine(protocol, slice_config, *nvm_);
+    // Building the engine wrote nothing, so the journal still sees
+    // every device write.
+    device().journalEnable();
     trackCommitted_ = slice_config.trackContents;
     captureCommitted();
 }
@@ -87,17 +85,17 @@ EngineShard::apply(const ShardOp &op)
             auto [it, fresh] =
                 plaintextPre_.try_emplace(blockOf(op.addr));
             if (fresh) {
-                auto p = engine_->plaintext_.find(blockOf(op.addr));
-                if (p != engine_->plaintext_.end()) {
+                auto p = engine().plaintext_.find(blockOf(op.addr));
+                if (p != engine().plaintext_.end()) {
                     it->second.present = true;
                     it->second.bytes = p->second;
                 }
             }
         }
-        laneLatency_[op.core] += engine_->write(
+        laneLatency_[op.core] += engine().write(
             op.addr, op.hasData ? op.data.data() : nullptr);
     } else {
-        laneLatency_[op.core] += engine_->read(op.addr, nullptr);
+        laneLatency_[op.core] += engine().read(op.addr, nullptr);
     }
 }
 
@@ -163,19 +161,18 @@ EngineShard::dropPending()
 void
 EngineShard::captureCommitted()
 {
-    committedRoot_ = engine_->rootRegister();
+    committedRoot_ = engine().rootRegister();
     if (trackCommitted_)
-        committedShadow_ = engine_->strategy().cloneShadow();
-    nvm_->journalClear();
+        committedShadow_ = engine().strategy().cloneShadow();
+    device().journalClear();
     plaintextPre_.clear();
 }
 
 void
 EngineShard::rollbackTornEpoch()
 {
-    mee::MemoryEngine &eng = *engine_;
-    const std::vector<Addr> rolled = nvm_->journalRollback();
-    ++rollbacks_;
+    mee::MemoryEngine &eng = engine();
+    const std::vector<Addr> rolled = device().journalRollback();
     // The persisted-MAC table describes durable contents; recompute
     // it for every rolled metadata block exactly the way persistBytes
     // recorded it (absent-or-all-zero blocks carry no entry). Data
@@ -185,7 +182,7 @@ EngineShard::rollbackTornEpoch()
     for (Addr a : rolled) {
         if (eng.map_.classify(a) == mem::Region::Data)
             continue;
-        nvm_->peek(a, bytes);
+        device().peek(a, bytes);
         if (blockZero(bytes))
             eng.persistedMac_.erase(a);
         else
@@ -197,7 +194,7 @@ EngineShard::rollbackTornEpoch()
 void
 EngineShard::restorePlaintext()
 {
-    mee::MemoryEngine &eng = *engine_;
+    mee::MemoryEngine &eng = engine();
     for (const auto &kv : plaintextPre_) {
         if (kv.second.present)
             eng.plaintext_.try_emplace(kv.first).first->second =
@@ -211,8 +208,8 @@ EngineShard::restorePlaintext()
 mee::RecoveryReport
 EngineShard::recoverSlice()
 {
-    mee::MemoryEngine &eng = *engine_;
-    if (nvm_->journalDirty())
+    mee::MemoryEngine &eng = engine();
+    if (device().journalDirty())
         rollbackTornEpoch();
     restorePlaintext();
     // Restore the NV registers the commit record latched. For a slice
@@ -258,7 +255,7 @@ ShardedEngine::ShardedEngine(mee::Protocol protocol,
     slice_cfg.dataBytes = part_.sliceBytes;
     for (unsigned i = 0; i < r.slices; ++i)
         shards_.push_back(std::make_unique<EngineShard>(
-            i, protocol, slice_cfg, cores_));
+            protocol, slice_cfg, cores_));
 
     if (r.lanes > 1)
         pool_ = std::make_unique<ThreadPool>(r.lanes);
@@ -420,8 +417,7 @@ ShardedEngine::crash()
     waitInflight();
     for (auto &shard : shards_) {
         shard->dropPending();
-        shard->engine().crash();
-        shard->device().crash();
+        shard->memory().crash();
     }
     inflightEpoch_ = 0;
 }
@@ -496,8 +492,7 @@ ShardedEngine::registerStats(obs::StatRegistry &reg)
 {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         const std::string tag = "shard" + std::to_string(i);
-        shards_[i]->engine().registerStats(reg, "mee." + tag);
-        shards_[i]->device().registerStats(reg, "nvm." + tag);
+        shards_[i]->memory().registerStats(reg, "." + tag);
         const mem::NvmDevice *dev = &shards_[i]->device();
         reg.addScalar("nvm." + tag + ".journal_captures",
                       [dev] { return dev->journalCaptures(); });

@@ -61,8 +61,7 @@
 #include "common/stats.hh"
 #include "common/thread_pool.hh"
 #include "common/types.hh"
-#include "mee/engine.hh"
-#include "mee/protocol.hh"
+#include "core/amnt.hh"
 #include "shard/partition.hh"
 
 namespace amnt::obs
@@ -115,12 +114,12 @@ struct ShardOp
 class EngineShard
 {
   public:
-    EngineShard(unsigned index, mee::Protocol protocol,
+    EngineShard(mee::Protocol protocol,
                 const mee::MeeConfig &slice_config, unsigned cores);
 
-    mee::MemoryEngine &engine() { return *engine_; }
-    const mee::MemoryEngine &engine() const { return *engine_; }
-    mem::NvmDevice &device() { return *nvm_; }
+    mee::MemoryEngine &engine() { return memory_.engine(); }
+    mem::NvmDevice &device() { return memory_.device(); }
+    core::FlatMemory &memory() { return memory_; }
 
     /** Buffer one operation for the open epoch. */
     void enqueue(const ShardOp &op);
@@ -163,9 +162,6 @@ class EngineShard
     /** Capture functional/shadow baselines (fault-domain runs). */
     void setTrackCommitted(bool on) { trackCommitted_ = on; }
 
-    /** Torn-epoch rollbacks this slice performed (stat). */
-    std::uint64_t rollbacks() const { return rollbacks_; }
-
     /** Ops absorbed by epoch coalescing so far (stat). */
     std::uint64_t coalescedOps() const { return coalesced_; }
 
@@ -187,9 +183,7 @@ class EngineShard
         mem::Block bytes{};
     };
 
-    unsigned index_;
-    std::unique_ptr<mem::NvmDevice> nvm_;
-    std::unique_ptr<mee::MemoryEngine> engine_;
+    core::FlatMemory memory_;
 
     std::vector<ShardOp> pending_;
     std::vector<ShardOp> inflight_;
@@ -200,7 +194,6 @@ class EngineShard
     std::unique_ptr<mee::ProtocolShadow> committedShadow_;
     FlatMap<BlockId, PlainPre> plaintextPre_;
     bool trackCommitted_ = false;
-    std::uint64_t rollbacks_ = 0;
     std::uint64_t coalesced_ = 0;
     std::uint64_t uniqueBlocks_ = 0;
     std::uint64_t uniquePages_ = 0;
@@ -216,7 +209,7 @@ class EngineShard
  * buffers operations into epochs, drains slices on the configured
  * lanes, and persists the cross-shard commit record.
  */
-class ShardedEngine
+class ShardedEngine final : public mee::SecureMemory
 {
   public:
     /**
@@ -238,7 +231,7 @@ class ShardedEngine
      * harvestLatencies().
      */
     Cycle write(Addr addr, const std::uint8_t *data = nullptr,
-                unsigned core = 0);
+                unsigned core = 0) override;
 
     /**
      * Data read. With @p out == nullptr the read is buffered like a
@@ -247,26 +240,26 @@ class ShardedEngine
      * epoch — and returns the decrypted bytes and real latency.
      */
     Cycle read(Addr addr, std::uint8_t *out = nullptr,
-               unsigned core = 0);
+               unsigned core = 0) override;
 
     /** Drain everything and commit the open epoch. */
-    void flush();
+    void flush() override;
 
     /** Power failure across all slices; buffered ops are lost. */
-    void crash();
+    void crash() override;
 
     /** Recover every slice to the last fully-committed epoch. */
-    mee::RecoveryReport recover();
+    mee::RecoveryReport recover() override;
 
     /** Sum of integrity violations across slices. */
-    std::uint64_t violations() const;
+    std::uint64_t violations() const override;
 
     /**
      * Attach one fault domain to every slice device and the
      * coordinator's commit-record boundary. Enables the committed
      * shadow/plaintext baselines needed for torn-epoch rollback.
      */
-    void setFaultDomain(fault::FaultDomain *domain);
+    void setFaultDomain(fault::FaultDomain *domain) override;
 
     /** Highest fully-committed epoch (0 before the first commit). */
     std::uint64_t committedEpoch() const { return committedEpoch_; }
@@ -278,22 +271,31 @@ class ShardedEngine
     std::uint64_t epochWrites() const { return epochWrites_; }
 
     const Partition &partition() const { return part_; }
-    unsigned sliceCount() const
+    unsigned
+    sliceCount() const override
     {
         return static_cast<unsigned>(shards_.size());
     }
-    EngineShard &shard(unsigned i) { return *shards_[i]; }
-    const EngineShard &shard(unsigned i) const { return *shards_[i]; }
+    mee::MemoryEngine &
+    slice(unsigned s) override
+    {
+        return shards_[s]->engine();
+    }
+    mem::NvmDevice &
+    sliceDevice(unsigned s) override
+    {
+        return shards_[s]->device();
+    }
 
     /**
      * Federate every slice under "mee.shard<i>.*" / "nvm.shard<i>.*"
      * plus the coordinator under "shard.epoch.*". All registered
      * values are simulated state, independent of the lane count.
      */
-    void registerStats(obs::StatRegistry &reg);
+    void registerStats(obs::StatRegistry &reg) override;
 
     /** Add accrued per-core drain latencies to @p per_core; reset. */
-    void harvestLatencies(std::vector<Cycle> &per_core);
+    void harvestLatencies(std::vector<Cycle> &per_core) override;
 
     /** Coordinator statistics (epochs committed, ops buffered...). */
     const StatGroup &stats() const { return stats_; }

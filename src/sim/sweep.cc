@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "common/env.hh"
+#include "common/log.hh"
 #include "common/thread_pool.hh"
 
 namespace amnt::sweep
@@ -21,6 +22,11 @@ runJob(const Job &job)
     for (const auto &w : job.processes)
         sys.addProcess(w);
     out.result = sys.run(job.instructions, job.warmup);
+    if (const std::uint64_t v = sys.engine().violations(); v != 0)
+        fatal("sweep job under %s ended with %llu integrity "
+              "violations",
+              mee::protocolName(job.config.protocol),
+              static_cast<unsigned long long>(v));
     if (job.config.recordAccessHistogram)
         out.accessHistogram = sys.accessHistogram();
     out.statsJson = sys.statsJson();

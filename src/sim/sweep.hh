@@ -10,7 +10,7 @@
  *
  * Determinism guarantee: results are bit-identical to a serial run at
  * any thread count. Each job constructs its own sim::System (and with
- * it its own mee::MemoryEngine, mem::NvmDevice, allocator and caches),
+ * it its own secure memory, allocator and caches),
  * all simulation randomness is seeded per job from its WorkloadConfig,
  * and no simulator state is shared between jobs — threads only decide
  * *when* a job runs, never what it computes. Wall-clock fields are the
@@ -19,12 +19,14 @@
  * Thread count: AMNT_SWEEP_THREADS when set (strictly parsed),
  * otherwise one thread per hardware thread.
  *
- * Sharded systems need no special handling here: SystemConfig.shards
- * rides inside each Job's config, and the determinism contract
+ * Flat and sharded systems run the same way: SystemConfig.shards
+ * rides inside each Job's config and only picks which
+ * mee::SecureMemory the System builds. The determinism contract
  * extends to the shard-lane count — a job's statsJson and RunResult
  * are byte-identical whether its system drains one lane or many,
  * at any sweep thread count (see shard/sharded_engine.hh and
- * tests/shard/test_shard_invariance.cc).
+ * tests/shard/test_shard_invariance.cc). A job that ends with
+ * integrity violations is fatal.
  */
 
 #ifndef AMNT_SIM_SWEEP_HH

@@ -91,27 +91,24 @@ System::System(const SystemConfig &config) : config_(config)
         }
     }
 
-    mee::MeeConfig mee_cfg = config.mee;
     if (config_.shards > 0) {
         shard::ShardOptions so = config_.shardOptions;
         so.lanes = config_.shards;
         so.cores = config_.cores;
-        sharded_ = std::make_unique<shard::ShardedEngine>(
-            config.protocol, mee_cfg, so);
+        memory_ = std::make_unique<shard::ShardedEngine>(
+            config.protocol, config.mee, so);
     } else {
-        const mem::MemoryMap probe(mee_cfg.dataBytes);
-        nvm_ = std::make_unique<mem::NvmDevice>(probe.deviceBytes());
-        engine_ = core::makeEngine(config.protocol, mee_cfg, *nvm_);
+        memory_ =
+            std::make_unique<core::FlatMemory>(config.protocol, config.mee);
     }
 
-    const std::uint64_t frames = mee_cfg.dataBytes / kPageSize;
-    // Sharded: AMNT regions live inside each slice's (smaller) tree,
-    // so the allocator's region granule comes from slice geometry.
-    const auto &geo = sharded_ != nullptr
-                          ? sharded_->shard(0).engine().map().geometry()
-                          : engine_->map().geometry();
+    const std::uint64_t frames = config.mee.dataBytes / kPageSize;
+    // AMNT regions live inside each slice's tree (smaller when
+    // sharded), so the allocator's region granule comes from slice
+    // geometry.
     const std::uint64_t frames_per_region =
-        geo.countersPerNode(mee_cfg.amntSubtreeLevel);
+        memory_->slice(0).map().geometry().countersPerNode(
+            config.mee.amntSubtreeLevel);
     if (config.amntpp) {
         allocator_ = std::make_unique<os::AmntPpAllocator>(
             frames, frames_per_region, 10, config.amntppCfg);
@@ -137,12 +134,7 @@ System::System(const SystemConfig &config) : config_(config)
 
     cores_.resize(config.cores);
 
-    if (sharded_ != nullptr) {
-        sharded_->registerStats(registry_);
-    } else {
-        engine_->registerStats(registry_, "mee");
-        nvm_->registerStats(registry_, "nvm");
-    }
+    memory_->registerStats(registry_);
     if (llc_)
         registry_.addGroup("cache." + llc_->name(), &llc_->stats());
 }
@@ -150,35 +142,30 @@ System::System(const SystemConfig &config) : config_(config)
 core::AmntStrategy *
 System::amnt()
 {
-    if (engine_ == nullptr)
-        return nullptr; // sharded: per-slice strategies, no single one
-    return dynamic_cast<core::AmntStrategy *>(&engine_->strategy());
+    if (memory_->sliceCount() != 1)
+        return nullptr;
+    return dynamic_cast<core::AmntStrategy *>(
+        &memory_->slice(0).strategy());
 }
 
 Cycle
 System::memRead(Addr a, unsigned core)
 {
-    if (sharded_ != nullptr)
-        return sharded_->read(a, nullptr, core);
-    return engine_->read(a);
+    return memory_->read(a, nullptr, core);
 }
 
 Cycle
 System::memWrite(Addr a, unsigned core)
 {
-    if (sharded_ != nullptr)
-        return sharded_->write(a, nullptr, core);
-    return engine_->write(a);
+    return memory_->write(a, nullptr, core);
 }
 
 void
 System::syncShards()
 {
-    if (sharded_ == nullptr)
-        return;
-    sharded_->flush();
+    memory_->flush();
     std::vector<Cycle> lat(cores_.size(), 0);
-    sharded_->harvestLatencies(lat);
+    memory_->harvestLatencies(lat);
     for (std::size_t i = 0; i < cores_.size(); ++i)
         cores_[i].cycles += lat[i];
 }
@@ -296,7 +283,7 @@ System::step(Core &c, unsigned idx)
 }
 
 System::Snapshot
-System::snapshot() const
+System::snapshot()
 {
     Snapshot s;
     for (const auto &c : cores_) {
@@ -307,21 +294,13 @@ System::snapshot() const
         s.faults.push_back(c.pageTable->faults());
     }
     s.osInstructions = osInstructions_;
-    if (sharded_ != nullptr) {
-        for (unsigned i = 0; i < sharded_->sliceCount(); ++i) {
-            const auto &eng = sharded_->shard(i).engine();
-            s.mcacheHits += eng.metaCache().stats().get("hits");
-            s.mcacheMisses += eng.metaCache().stats().get("misses");
-            s.subtreeHits += eng.stats().get("subtree_hits");
-            s.subtreeMisses += eng.stats().get("subtree_misses");
-            s.movements += eng.stats().get("subtree_movements");
-        }
-    } else {
-        s.mcacheHits = engine_->metaCache().stats().get("hits");
-        s.mcacheMisses = engine_->metaCache().stats().get("misses");
-        s.subtreeHits = engine_->stats().get("subtree_hits");
-        s.subtreeMisses = engine_->stats().get("subtree_misses");
-        s.movements = engine_->stats().get("subtree_movements");
+    for (unsigned i = 0; i < memory_->sliceCount(); ++i) {
+        const mee::MemoryEngine &eng = memory_->slice(i);
+        s.mcacheHits += eng.metaCache().stats().get("hits");
+        s.mcacheMisses += eng.metaCache().stats().get("misses");
+        s.subtreeHits += eng.stats().get("subtree_hits");
+        s.subtreeMisses += eng.stats().get("subtree_misses");
+        s.movements += eng.stats().get("subtree_movements");
     }
     return s;
 }

@@ -1,14 +1,14 @@
 /**
  * @file
  * Full-system assembly: cores + data-cache hierarchy + OS paging +
- * secure memory engine + NVM device.
+ * secure memory (mee/secure_memory.hh).
  *
  * Each core runs one process (workload + private page table) through
  * private cache levels into an optional shared LLC; misses and dirty
- * write-backs reach the single secure-memory engine. Cores advance in
- * round-robin lockstep; the run's cycle count is the slowest core's,
- * matching the multiprogram methodology of the paper (both regions of
- * interest measured in parallel).
+ * write-backs reach the one secure-memory unit, flat or sharded.
+ * Cores advance in round-robin lockstep; the run's cycle count is the
+ * slowest core's, matching the multiprogram methodology of the paper
+ * (both regions of interest measured in parallel).
  */
 
 #ifndef AMNT_SIM_SYSTEM_HH
@@ -21,7 +21,7 @@
 
 #include "cache/hierarchy.hh"
 #include "core/amnt.hh"
-#include "mee/engine.hh"
+#include "mee/secure_memory.hh"
 #include "obs/registry.hh"
 #include "os/amntpp_allocator.hh"
 #include "os/page_table.hh"
@@ -44,14 +44,15 @@ struct SystemConfig
     os::AmntPpConfig amntppCfg;
 
     /**
-     * Sharded scale-out (shard/sharded_engine.hh): 0 keeps the
-     * single-engine legacy path (unless AMNT_SHARDS overrides it at
-     * construction); N >= 1 runs the sharded model with N host drain
-     * lanes. The logical slice partition is fixed by
-     * shardOptions.slices (default AMNT_SHARD_SLICES = 4)
-     * independent of N, so simulated results are byte-identical at
-     * any shard count — `--shards=1` is the sharded model on one
-     * lane, not the legacy engine.
+     * Which secure memory the system runs: 0 builds a
+     * core::FlatMemory (unless AMNT_SHARDS overrides it at
+     * construction); N >= 1 builds a shard::ShardedEngine with N
+     * host drain lanes (shard/sharded_engine.hh). Both sit behind
+     * the same mee::SecureMemory interface. The logical slice
+     * partition is fixed by shardOptions.slices (default
+     * AMNT_SHARD_SLICES = 4) independent of N, so simulated results
+     * are byte-identical at any shard count — `--shards=1` is the
+     * sharded model on one lane, not the flat memory.
      */
     unsigned shards = 0;
 
@@ -142,18 +143,8 @@ class System
     RunResult run(std::uint64_t instructions_per_core,
                   std::uint64_t warmup_per_core = 0);
 
-    /** The secure-memory engine (legacy single-engine path only). */
-    mee::MemoryEngine &
-    engine()
-    {
-        if (engine_ == nullptr)
-            fatal("System::engine() on a sharded system; use "
-                  "sharded()");
-        return *engine_;
-    }
-
-    /** The sharded engine; nullptr on the legacy path. */
-    shard::ShardedEngine *sharded() { return sharded_.get(); }
+    /** The secure memory, flat or sharded. */
+    mee::SecureMemory &engine() { return *memory_; }
 
     /** The physical allocator. */
     os::BuddyAllocator &allocator() { return *allocator_; }
@@ -165,7 +156,8 @@ class System
         return histogram_;
     }
 
-    /** AMNT strategy accessor; nullptr for other protocols. */
+    /** AMNT strategy; nullptr for other protocols and for sharded
+     *  memories, which run one strategy per slice. */
     core::AmntStrategy *amnt();
 
     /**
@@ -199,15 +191,15 @@ class System
     /** Advance one instruction on core @p c (index @p idx). */
     void step(Core &c, unsigned idx);
 
-    /** Route one memory read/write to the active engine. */
+    /** Route one memory read/write to the secure memory. */
     Cycle memRead(Addr a, unsigned core);
     Cycle memWrite(Addr a, unsigned core);
 
     /**
-     * Sharded path: drain + commit everything buffered and fold the
+     * Drain + commit everything the memory buffers and fold the
      * accrued per-core drain latencies into the cores' cycle counts.
      * Called at every measurement boundary so snapshots observe a
-     * fully-settled machine. No-op on the legacy path.
+     * fully-settled machine. No-op for a flat memory.
      */
     void syncShards();
 
@@ -230,16 +222,14 @@ class System
         std::uint64_t movements = 0;
     };
 
-    Snapshot snapshot() const;
+    Snapshot snapshot();
 
     /** Drive all cores for @p n instructions each. */
     void advance(std::uint64_t n, std::uint64_t &daemon_clock);
 
     SystemConfig config_;
     obs::StatRegistry registry_;
-    std::unique_ptr<mem::NvmDevice> nvm_;
-    std::unique_ptr<mee::MemoryEngine> engine_;
-    std::unique_ptr<shard::ShardedEngine> sharded_;
+    std::unique_ptr<mee::SecureMemory> memory_;
     std::unique_ptr<os::BuddyAllocator> allocator_;
     std::unique_ptr<cache::Cache> llc_;
     std::vector<Core> cores_;

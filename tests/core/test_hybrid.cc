@@ -5,6 +5,7 @@
 #include "common/log.hh"
 #include "core/hybrid.hh"
 #include "mee/mee_test_util.hh"
+#include "obs/registry.hh"
 
 namespace amnt::core
 {
@@ -94,7 +95,7 @@ TEST(Hybrid, ScmTamperStillDetected)
     HybridEngine h(smallHybrid());
     std::uint8_t buf[kBlockSize] = {5};
     h.write(0x2000, buf);
-    h.scmDevice().tamper(0x2000, 3, 0x04);
+    h.sliceDevice(0).tamper(0x2000, 3, 0x04);
     h.read(0x2000);
     EXPECT_GT(h.violations(), 0ull);
     setQuiet(false);
@@ -113,6 +114,33 @@ TEST(Hybrid, ScmRecoveryBoundedBySubtree)
     ASSERT_TRUE(report.success);
     // Only the fast subtree's share was recomputed.
     EXPECT_LT(report.countersRecovered, 200ull);
+}
+
+TEST(Hybrid, StatsFollowTheRebootedDramSide)
+{
+    HybridEngine h(smallHybrid());
+    obs::StatRegistry reg;
+    h.registerStats(reg);
+    std::uint8_t buf[kBlockSize] = {3};
+    h.write(0x1000, buf);
+    h.write((4ull << 20) + 0x1000, buf);
+    const std::string before = reg.dumpJson();
+    EXPECT_NE(before.find("\"mee.scm.amnt.l3.data_writes\": 1"),
+              std::string::npos);
+    EXPECT_NE(before.find("\"mee.dram.volatile.data_writes\": 1"),
+              std::string::npos);
+    EXPECT_NE(before.find("\"nvm.dram.writes\""), std::string::npos);
+
+    // The reboot replaces the DRAM side; the registry must follow it
+    // to the fresh instance instead of the freed one.
+    h.crash();
+    ASSERT_TRUE(h.recover().success);
+    const std::string after = reg.dumpJson();
+    EXPECT_NE(after.find("\"mee.scm.amnt.l3.data_writes\": 1"),
+              std::string::npos);
+    EXPECT_NE(after.find("\"mee.dram.volatile.data_writes\": 0"),
+              std::string::npos);
+    EXPECT_NE(after.find("\"nvm.dram.writes\": 0"), std::string::npos);
 }
 
 } // namespace

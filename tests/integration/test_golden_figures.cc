@@ -124,8 +124,7 @@ TEST(GoldenFigures, Fig04PinnedConfigsMatchGolden)
             push(bench::paperSystem(p, 1), mee::protocolName(p));
     }
 
-    const std::vector<sweep::Outcome> outcomes =
-        bench::sweepConfigs(jobs);
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
     std::string text;
     for (std::size_t i = 0; i < jobs.size(); ++i)
         text += outcomeRow(labels[i], jobs[i], outcomes[i]) + "\n";
@@ -173,8 +172,7 @@ TEST(GoldenFigures, Fig05PinnedConfigsMatchGolden)
     pp.amntpp = true;
     push(pp, "amnt++");
 
-    const std::vector<sweep::Outcome> outcomes =
-        bench::sweepConfigs(jobs);
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
     std::string text;
     for (std::size_t i = 0; i < jobs.size(); ++i)
         text += outcomeRow(labels[i], jobs[i], outcomes[i]) + "\n";
@@ -214,8 +212,7 @@ TEST(GoldenFigures, Table2PinnedConfigsMatchGolden)
         bench::makeJob(plain, procs, instr, warmup),
         bench::makeJob(pp, procs, instr, warmup)};
 
-    const std::vector<sweep::Outcome> outcomes =
-        bench::sweepConfigs(jobs);
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
     std::string text;
     for (std::size_t i = 0; i < jobs.size(); ++i)
         text += outcomeRow(labels[i], jobs[i], outcomes[i]) + "\n";

@@ -69,7 +69,7 @@ TEST(Multiprogram, AgedPhysicalPlacementInterleaves)
     sys.run(20000);
 
     const std::uint64_t frames_per_region =
-        sys.engine().map().geometry().countersPerNode(3);
+        sys.engine().slice(0).map().geometry().countersPerNode(3);
     std::set<std::uint64_t> regions;
     for (const auto &kv : sys.accessHistogram())
         regions.insert(kv.first / frames_per_region);
@@ -87,7 +87,7 @@ TEST(Multiprogram, AmntPpConsolidatesPlacement)
         sys.addProcess(proc(8));
         sys.run(40000);
         const std::uint64_t frames_per_region =
-            sys.engine().map().geometry().countersPerNode(3);
+            sys.engine().slice(0).map().geometry().countersPerNode(3);
         // Weighted: where do the accesses actually land?
         std::unordered_map<std::uint64_t, std::uint64_t> per_region;
         std::uint64_t total = 0;
@@ -113,7 +113,7 @@ TEST(Multiprogram, SharedMeeServesBothCores)
     sys.addProcess(proc(10));
     const RunResult r = sys.run(20000);
     EXPECT_GT(r.memReads, 0ull);
-    EXPECT_GT(sys.engine().stats().get("data_reads"), 0ull);
+    EXPECT_GT(sys.engine().slice(0).stats().get("data_reads"), 0ull);
     EXPECT_EQ(sys.engine().violations(), 0ull);
 }
 

@@ -2,7 +2,8 @@
  * StatRegistry contract tests: duplicate dotted paths must panic at
  * registration, expanded-key collisions must panic at dump, the JSON
  * dump must be flat/sorted/stable, reset() must zero groups and
- * histograms in place (scalar probes are read-only views), and the
+ * histograms in place (scalar probes are read-only views), remove()
+ * must drop exactly one path subtree, and the
  * per-job snapshots the sweep runner captures must be bit-identical
  * at every AMNT_SWEEP_THREADS.
  */
@@ -50,6 +51,23 @@ TEST(StatRegistry, ExpandedKeyCollisionPanicsAtDump)
     // "cache.l1" + counter "hits" expands to the same key.
     reg.addScalar("cache.l1.hits", [] { return 7ull; });
     EXPECT_DEATH(reg.dumpJson(), "key collision");
+}
+
+TEST(StatRegistry, RemoveDropsOnlyThePrefixSubtree)
+{
+    obs::StatRegistry reg;
+    StatGroup side, sibling;
+    side.inc("writes", 2);
+    sibling.inc("writes", 5);
+    reg.addGroup("mee.dram", &side);
+    reg.addScalar("mee.dram.violations", [] { return 0ull; });
+    reg.addGroup("mee.dramx", &sibling);
+    reg.remove("mee.dram");
+    EXPECT_EQ(reg.dumpJson(), "{\n  \"mee.dramx.writes\": 5\n}");
+    // The freed paths can be claimed again.
+    reg.addGroup("mee.dram", &side);
+    EXPECT_NE(reg.dumpJson().find("\"mee.dram.writes\": 2"),
+              std::string::npos);
 }
 
 TEST(StatRegistry, DumpIsFlatSortedAndStable)

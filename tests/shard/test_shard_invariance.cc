@@ -67,8 +67,7 @@ TEST(ShardInvariance, SystemRunIsByteIdenticalAcrossShardCounts)
     for (unsigned shards : {1u, 2u, 4u}) {
         sim::System system(
             shardedConfig(mee::Protocol::Amnt, shards));
-        ASSERT_NE(system.sharded(), nullptr);
-        EXPECT_EQ(system.sharded()->sliceCount(), 4u);
+        EXPECT_EQ(system.engine().sliceCount(), 4u);
         system.addProcess(smallWorkload());
         const sim::RunResult res = system.run(20000, 5000);
         const std::string stats = system.statsJson();
@@ -150,13 +149,20 @@ TEST(ShardInvariance, EnvOverrideEnablesShardedModel)
     cfg.shardOptions.slices = 4;
     ASSERT_EQ(cfg.shards, 0u); // config leaves it to the env
     sim::System system(cfg);
-    ASSERT_NE(system.sharded(), nullptr);
-    EXPECT_EQ(system.sharded()->sliceCount(), 4u);
+    EXPECT_EQ(system.engine().sliceCount(), 4u);
     EXPECT_EQ(system.amnt(), nullptr);
 }
 
-TEST(ShardInvarianceDeath, LegacyEngineAccessorRefusesShardedSystem)
+TEST(ShardInvariance, ShardedSystemServesTheSecureMemoryInterface)
 {
-    sim::System system(shardedConfig(mee::Protocol::Leaf, 1));
-    EXPECT_DEATH(system.engine(), "sharded");
+    sim::System system(shardedConfig(mee::Protocol::Amnt, 1));
+    system.addProcess(smallWorkload());
+    system.run(5000, 1000);
+    EXPECT_EQ(system.engine().sliceCount(), 4u);
+    EXPECT_EQ(system.engine().violations(), 0u);
+    EXPECT_EQ(system.amnt(), nullptr);
+    std::uint64_t reads = 0;
+    for (unsigned s = 0; s < 4; ++s)
+        reads += system.engine().slice(s).stats().get("data_reads");
+    EXPECT_GT(reads, 0u);
 }

@@ -166,6 +166,23 @@ TEST(Sweep, RecordsHistogramWhenRequested)
     EXPECT_FALSE(outcomes[0].accessHistogram.empty());
 }
 
+TEST(Sweep, FlatAndShardedJobsEndWithoutViolations)
+{
+    // A job that ends with integrity violations is fatal in the
+    // sweep, so both jobs returning is the check; their registries
+    // confirm which memory each one ran.
+    std::vector<sweep::Job> jobs = matrixJobs();
+    jobs.resize(2);
+    jobs[1].config.shards = 2;
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs, 2);
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_NE(outcomes[0].statsJson.find("\"mee.violations\": 0"),
+              std::string::npos);
+    EXPECT_NE(
+        outcomes[1].statsJson.find("\"mee.shard1.violations\": 0"),
+        std::string::npos);
+}
+
 TEST(Sweep, ParallelForCoversEveryIndexOnce)
 {
     std::vector<int> hits(100, 0);

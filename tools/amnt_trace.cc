@@ -55,7 +55,7 @@ struct Options
     std::uint64_t instr = 100'000;
     std::uint64_t warmup = 0;
 
-    /** 0 = legacy engine (unless AMNT_SHARDS); N = sharded lanes. */
+    /** 0 = flat memory (unless AMNT_SHARDS); N = sharded lanes. */
     std::uint64_t shards = 0;
 };
 

@@ -44,7 +44,7 @@ def cell_key(entry):
     """(protocol, preset, shards) identity of a row or history entry.
 
     Entries that predate the sharded bench carry no "shards" field;
-    they key as shards=0 (the legacy single-engine run), so old and
+    they key as shards=0 (the flat secure-memory run), so old and
     new histories interoperate without rewriting.
     """
     return (
