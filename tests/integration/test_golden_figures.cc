@@ -179,6 +179,48 @@ TEST(GoldenFigures, Fig05PinnedConfigsMatchGolden)
     checkGolden("golden_fig05.json", text);
 }
 
+TEST(GoldenFigures, Fig06PinnedConfigsMatchGolden)
+{
+    // Pinned miniature of the fig06 matrix: the fig05 pin's pair and
+    // scaling, the volatile baseline, and AMNT at every swept subtree
+    // level with and without AMNT++. Each row carries the subtree hit
+    // rate and movements, so this pin also covers every number
+    // Figure 7 prints.
+    const std::uint64_t instr = 48000;
+    const std::uint64_t warmup = 16000;
+
+    std::vector<sim::WorkloadConfig> procs;
+    for (const char *name : {"bodytrack", "fluidanimate"}) {
+        sim::WorkloadConfig w = sim::parsecPreset(name);
+        w.footprintPages =
+            std::max<std::uint64_t>(256, w.footprintPages / 4);
+        w.flushWriteFraction = 0.05;
+        procs.push_back(w);
+    }
+
+    std::vector<std::string> labels;
+    std::vector<sweep::Job> jobs;
+    auto push = [&](sim::SystemConfig cfg, const std::string &suffix) {
+        labels.push_back("bodytrack+fluidanimate/" + suffix);
+        jobs.push_back(bench::makeJob(cfg, procs, instr, warmup));
+    };
+    push(bench::paperSystem(mee::Protocol::Volatile, 2), "volatile");
+    for (unsigned level = 2; level <= 7; ++level) {
+        sim::SystemConfig cfg = bench::paperSystem(mee::Protocol::Amnt, 2);
+        cfg.mee.amntSubtreeLevel = level;
+        const std::string l = "L" + std::to_string(level);
+        push(cfg, l + "/amnt");
+        cfg.amntpp = true;
+        push(cfg, l + "/amnt++");
+    }
+
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
+    std::string text;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        text += outcomeRow(labels[i], jobs[i], outcomes[i]) + "\n";
+    checkGolden("golden_fig06.json", text);
+}
+
 TEST(GoldenFigures, Table2PinnedConfigsMatchGolden)
 {
     // Pinned miniature of Table 2: one multiprogram pair under AMNT
