@@ -429,6 +429,12 @@ class JsonSink
     }
 
     /**
+     * Lead every later result() row with a "figure" field naming
+     * @p figure, for harnesses that print several figures.
+     */
+    void setFigure(std::string figure) { figure_ = std::move(figure); }
+
+    /**
      * Append the standard row for one swept configuration: the
      * config, the simulated result, and the host-side measurement
      * (wall seconds and simulated instructions per second).
@@ -442,6 +448,8 @@ class JsonSink
         const double instr_total = static_cast<double>(
             o.result.appInstructions + o.result.osInstructions);
         JsonRow row;
+        if (!figure_.empty())
+            row.field("figure", figure_);
         row.field("label", label)
             .field("protocol",
                    std::string(
@@ -468,6 +476,7 @@ class JsonSink
 
   private:
     std::string bench_;
+    std::string figure_;
     std::string path_;
     std::FILE *file_ = nullptr;
     std::vector<std::string> rows_;

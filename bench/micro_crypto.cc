@@ -32,7 +32,6 @@
 #include "core/amnt.hh"
 #include "crypto/dispatch.hh"
 #include "crypto/engines.hh"
-#include "mem/memory_map.hh"
 
 using namespace amnt;
 
@@ -116,12 +115,11 @@ BM_EngineWrite(benchmark::State &state)
     mee::MeeConfig cfg;
     cfg.dataBytes = 64ull << 20;
     cfg.keySeed = 5;
-    mem::NvmDevice nvm(mem::MemoryMap(cfg.dataBytes).deviceBytes());
-    auto engine = core::makeEngine(protocol, cfg, nvm);
+    core::FlatMemory memory(protocol, cfg);
     std::uint64_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            engine->write(((i++) % 16384) * kPageSize));
+            memory.write(((i++) % 16384) * kPageSize));
     }
 }
 BENCHMARK(BM_EngineWrite)
@@ -136,15 +134,13 @@ BM_EngineRead(benchmark::State &state)
     mee::MeeConfig cfg;
     cfg.dataBytes = 64ull << 20;
     cfg.keySeed = 5;
-    mem::NvmDevice nvm(mem::MemoryMap(cfg.dataBytes).deviceBytes());
-    auto engine =
-        core::makeEngine(mee::Protocol::Amnt, cfg, nvm);
+    core::FlatMemory memory(mee::Protocol::Amnt, cfg);
     for (std::uint64_t p = 0; p < 4096; ++p)
-        engine->write(p * kPageSize);
+        memory.write(p * kPageSize);
     std::uint64_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            engine->read(((i++) % 4096) * kPageSize));
+            memory.read(((i++) % 4096) * kPageSize));
     }
 }
 BENCHMARK(BM_EngineRead);

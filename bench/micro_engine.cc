@@ -15,7 +15,6 @@
 
 #include "bench_util.hh"
 #include "core/amnt.hh"
-#include "mem/memory_map.hh"
 
 using namespace amnt;
 using namespace amnt::bench;
@@ -65,23 +64,22 @@ main(int argc, char **argv)
         mee::MeeConfig cfg;
         cfg.dataBytes = 64ull << 20;
         cfg.keySeed = 5;
-        mem::NvmDevice nvm(
-            mem::MemoryMap(cfg.dataBytes).deviceBytes());
-        auto engine = core::makeEngine(p, cfg, nvm);
+        core::FlatMemory memory(p, cfg);
+        mee::MemoryEngine &engine = memory.engine();
 
         // Touch the footprint once so reads hit initialized blocks
         // and the steady-state path is measured, not first-touch.
         for (std::uint64_t page = 0; page < kPages; ++page)
-            engine->write(page * kPageSize);
+            engine.write(page * kPageSize);
 
         const double wsec = secondsOf(
             [&](std::uint64_t i) {
-                engine->write(scrambledPage(i) * kPageSize);
+                engine.write(scrambledPage(i) * kPageSize);
             },
             ops);
         const double rsec = secondsOf(
             [&](std::uint64_t i) {
-                engine->read(scrambledPage(i) * kPageSize);
+                engine.read(scrambledPage(i) * kPageSize);
             },
             ops);
 

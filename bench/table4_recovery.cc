@@ -98,14 +98,13 @@ main(int argc, char **argv)
         cfg.dataBytes = 64ull << 20;
         cfg.trackContents = false;
         cfg.keySeed = 99;
-        mem::NvmDevice nvm(mem::MemoryMap(cfg.dataBytes).deviceBytes());
-        auto engine = core::makeEngine(protocols[i], cfg, nvm);
+        core::FlatMemory memory(protocols[i], cfg);
         Rng rng(4242);
         for (int w = 0; w < 20000; ++w)
-            engine->write(rng.below(16384) * kPageSize +
-                          rng.below(64) * kBlockSize);
-        engine->crash();
-        reports[i] = engine->recover();
+            memory.write(rng.below(16384) * kPageSize +
+                         rng.below(64) * kBlockSize);
+        memory.crash();
+        reports[i] = memory.recover();
     });
 
     TextTable fv;

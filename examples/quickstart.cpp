@@ -29,8 +29,7 @@ main()
     config.trackContents = true;
     config.keySeed = 0x1234;
 
-    mem::NvmDevice nvm(mem::MemoryMap(config.dataBytes).deviceBytes());
-    auto engine = core::makeEngine(mee::Protocol::Amnt, config, nvm);
+    core::FlatMemory memory(mee::Protocol::Amnt, config);
 
     // 2. Write a block. write() is a data write arriving at the
     //    memory controller: it encrypts, updates the counter + HMAC +
@@ -38,40 +37,40 @@ main()
     std::uint8_t message[kBlockSize] = {};
     std::strcpy(reinterpret_cast<char *>(message),
                 "the course of true love never did run smooth");
-    const Cycle wlat = engine->write(0x4000, message);
+    const Cycle wlat = memory.write(0x4000, message);
     std::printf("wrote one block (modeled latency %llu cycles)\n",
                 static_cast<unsigned long long>(wlat));
 
     // 3. Read it back: fetch + decrypt + integrity verification.
     std::uint8_t readback[kBlockSize];
-    engine->read(0x4000, readback);
+    memory.read(0x4000, readback);
     std::printf("read back: \"%s\" (violations: %llu)\n", readback,
-                static_cast<unsigned long long>(engine->violations()));
+                static_cast<unsigned long long>(memory.violations()));
 
     // 4. Power failure. Volatile state (metadata cache, architectural
     //    tree) is gone; NVM and the NV root registers survive.
-    engine->crash();
+    memory.crash();
     std::printf("power failure injected\n");
 
     // 5. Recovery: AMNT recomputes only the fast subtree's interior
     //    and re-anchors it against the non-volatile subtree register.
-    const mee::RecoveryReport report = engine->recover();
+    const mee::RecoveryReport report = memory.recover();
     std::printf("recovery: %s (%llu blocks read, %.4f ms modeled)\n",
                 report.success ? "success" : "FAILED",
                 static_cast<unsigned long long>(report.blocksRead),
                 report.estimatedMs);
 
-    engine->read(0x4000, readback);
+    memory.read(0x4000, readback);
     std::printf("after recovery: \"%s\" (violations: %llu)\n",
                 readback,
-                static_cast<unsigned long long>(engine->violations()));
+                static_cast<unsigned long long>(memory.violations()));
 
     // 6. A physical attacker flips one persisted data bit...
-    nvm.tamper(0x4000, 0, 0x01);
-    engine->read(0x4000, readback);
+    memory.device().tamper(0x4000, 0, 0x01);
+    memory.read(0x4000, readback);
     std::printf("after tampering, violations: %llu (attack %s)\n",
-                static_cast<unsigned long long>(engine->violations()),
-                engine->violations() > 0 ? "detected" : "MISSED");
+                static_cast<unsigned long long>(memory.violations()),
+                memory.violations() > 0 ? "detected" : "MISSED");
 
     // 7. The administrator's dial (paper section 6.7): pick the
     //    subtree level for a recovery-time budget.
@@ -80,5 +79,5 @@ main()
                 "level %u (%.2f ms)\n",
                 model.levelForBudget(2ull << 40, 100.0, 7),
                 model.amntMs(2ull << 40, 3));
-    return engine->violations() > 0 ? 0 : 1;
+    return memory.violations() > 0 ? 0 : 1;
 }

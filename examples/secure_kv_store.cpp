@@ -137,9 +137,8 @@ main()
     config.trackContents = true;
     config.keySeed = 0xcafe;
 
-    mem::NvmDevice nvm(mem::MemoryMap(config.dataBytes).deviceBytes());
-    auto engine = core::makeEngine(mee::Protocol::Amnt, config, nvm);
-    SecureKvStore store(*engine, 4096);
+    core::FlatMemory memory(mee::Protocol::Amnt, config);
+    SecureKvStore store(memory.engine(), 4096);
 
     // Load a workload of keys; remember what we committed.
     std::map<std::string, std::string> truth;
@@ -155,8 +154,8 @@ main()
                 truth.size());
 
     // Power failure mid-operation, then recovery.
-    engine->crash();
-    const mee::RecoveryReport report = engine->recover();
+    memory.crash();
+    const mee::RecoveryReport report = memory.recover();
     std::printf("crash + recovery: %s (%.4f ms modeled, %llu blocks "
                 "read)\n",
                 report.success ? "success" : "FAILED",
@@ -175,25 +174,25 @@ main()
     std::printf("verified %zu/%zu keys after recovery (violations: "
                 "%llu)\n",
                 ok, truth.size(),
-                static_cast<unsigned long long>(engine->violations()));
+                static_cast<unsigned long long>(memory.violations()));
 
     // An attacker corrupts one occupied bucket on the DIMM while we
     // are live; the next lookup touching it must scream.
     Addr victim = 0;
     for (std::uint64_t slot = 0; slot < 4096; ++slot) {
         std::uint8_t block[kBlockSize];
-        engine->read(slot * kBlockSize, block);
+        memory.read(slot * kBlockSize, block);
         if ((block[0] | block[1]) != 0) {
             victim = slot * kBlockSize;
             break;
         }
     }
-    nvm.tamper(victim, 8, 0xff);
+    memory.device().tamper(victim, 8, 0xff);
     std::uint8_t block[kBlockSize];
-    engine->read(victim, block);
+    memory.read(victim, block);
     std::printf("tamper scan: violations now %llu (attack %s)\n",
-                static_cast<unsigned long long>(engine->violations()),
-                engine->violations() > 0 ? "detected" : "MISSED");
+                static_cast<unsigned long long>(memory.violations()),
+                memory.violations() > 0 ? "detected" : "MISSED");
 
-    return ok == truth.size() && engine->violations() > 0 ? 0 : 1;
+    return ok == truth.size() && memory.violations() > 0 ? 0 : 1;
 }

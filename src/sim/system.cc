@@ -251,9 +251,8 @@ System::step(Core &c, unsigned idx)
     c.cycles += config_.baseCpi;
     ++c.refGap;
 
-    // Timed trace replay drives issue off the recorded instruction
-    // gaps; generators (and untimed v1 traces) are gated by the
-    // workload's memory intensity.
+    // Trace replay drives issue off the recorded instruction gaps;
+    // generators are gated by the workload's memory intensity.
     if (c.workload->timedReplay()) {
         if (!c.workload->replayTick())
             return;

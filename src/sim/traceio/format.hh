@@ -3,12 +3,7 @@
  * On-disk memory-trace format (DESIGN.md §12).
  *
  * A trace is a 16-byte header followed by a stream of variable-length
- * records. Two format generations share the header shape:
- *
- *   v1 ("AMNTTRC1", version byte 1): fixed 9-byte records — 8 B
- *      little-endian virtual address + 1 B flags. Untimed: replay is
- *      gated by the replaying workload's memIntensity. Kept readable
- *      for old captures; no longer written.
+ * records. The one supported generation is
  *
  *   v2 ("AMNTTRC2", version byte 2): varint records. Each record is
  *        flags      1 B   bits 0-1 op kind (0 read, 1 write,
@@ -51,18 +46,12 @@ namespace amnt::sim::traceio
 /** Header: magic (8 B) + version (1 B) + 7 reserved zero bytes. */
 inline constexpr std::size_t kHeaderBytes = 16;
 
-inline constexpr char kMagicV1[8] = {'A', 'M', 'N', 'T',
-                                     'T', 'R', 'C', '1'};
 inline constexpr char kMagicV2[8] = {'A', 'M', 'N', 'T',
                                      'T', 'R', 'C', '2'};
 
-inline constexpr std::uint8_t kVersion1 = 1;
 inline constexpr std::uint8_t kVersion2 = 2;
 
-/** v1 payload: 8 B address + 1 B flags. */
-inline constexpr std::size_t kV1RecordBytes = 9;
-
-/** Record flag byte layout (v2; v1 uses bits 0-1 only). */
+/** Record flag byte layout. */
 inline constexpr std::uint8_t kKindMask = 0x03;
 inline constexpr std::uint8_t kKindRead = 0x00;
 inline constexpr std::uint8_t kKindWrite = 0x01;

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "common/bitops.hh"
 #include "common/log.hh"
 #include "sim/traceio/format.hh"
 
@@ -21,14 +20,11 @@ TraceReader::TraceReader(const std::string &path)
         fail("truncated header");
         return;
     }
-    if (std::memcmp(header, kMagicV1, sizeof(kMagicV1)) == 0)
-        version_ = kVersion1;
-    else if (std::memcmp(header, kMagicV2, sizeof(kMagicV2)) == 0)
-        version_ = kVersion2;
-    else {
+    if (std::memcmp(header, kMagicV2, sizeof(kMagicV2)) != 0) {
         fail("not an AMNT trace (bad magic)");
         return;
     }
+    version_ = kVersion2;
     if (header[8] != version_) {
         fail(strfmt("header version %u does not match magic "
                     "generation %u",
@@ -89,32 +85,13 @@ TraceReader::readVarint(std::uint64_t &out, const char *field)
 }
 
 bool
-TraceReader::nextV1(TraceRecord &out)
+TraceReader::next(TraceRecord &out)
 {
-    std::uint8_t rec[kV1RecordBytes];
-    const std::size_t got = std::fread(rec, 1, sizeof(rec), file_);
-    if (got == 0)
-        return false; // clean end of trace
-    if (got != sizeof(rec)) {
-        fail(strfmt("truncated record %llu",
-                    static_cast<unsigned long long>(recordsRead_)));
+    if (!ok() || atEnd_)
         return false;
-    }
-    out = TraceRecord{};
-    out.ref.vaddr = load64le(rec);
-    out.ref.type = (rec[8] & 1) != 0 ? AccessType::Write
-                                     : AccessType::Read;
-    out.ref.flush = (rec[8] & 2) != 0;
-    ++recordsRead_;
-    return true;
-}
-
-bool
-TraceReader::nextV2(TraceRecord &out)
-{
     const int first = std::fgetc(file_);
     if (first == EOF) {
-        // A well-formed v2 stream always ends with its marker; a
+        // A well-formed stream always ends with its marker; a
         // hard EOF here means the file was cut short.
         fail("truncated trace (missing end-of-trace marker)");
         return false;
@@ -165,14 +142,6 @@ TraceReader::nextV2(TraceRecord &out)
     prevVaddr_ = out.ref.vaddr;
     ++recordsRead_;
     return true;
-}
-
-bool
-TraceReader::next(TraceRecord &out)
-{
-    if (!ok() || atEnd_)
-        return false;
-    return version_ == kVersion1 ? nextV1(out) : nextV2(out);
 }
 
 void

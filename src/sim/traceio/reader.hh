@@ -1,7 +1,7 @@
 /**
  * @file
- * Streaming trace reader: sequentially decodes v1 (fixed-width) and
- * v2 (varint) traces with O(1) memory.
+ * Streaming trace reader: sequentially decodes v2 (varint) traces
+ * with O(1) memory.
  *
  * Malformed input never aborts the process: every defect — missing
  * file, short or alien header, unsupported version, truncated record,
@@ -28,10 +28,7 @@ struct TraceRecord
 {
     MemRef ref;
 
-    /**
-     * Instructions since the previous reference, inclusive (>= 1).
-     * v1 traces carry no timing and always report 1.
-     */
+    /** Instructions since the previous reference, inclusive (>= 1). */
     std::uint64_t gap = 1;
 };
 
@@ -52,11 +49,8 @@ class TraceReader
     /** Human-readable description of the first defect; empty if ok. */
     const std::string &error() const { return error_; }
 
-    /** Format generation: 1 or 2 (0 when the header was rejected). */
+    /** Format generation: 2 (0 when the header was rejected). */
     unsigned version() const { return version_; }
-
-    /** True when records carry real instruction gaps (v2). */
-    bool timed() const { return version_ == kVersion2; }
 
     /**
      * Decode the next record. Returns false at end of trace or on a
@@ -71,18 +65,15 @@ class TraceReader
     std::uint64_t recordsRead() const { return recordsRead_; }
 
     /**
-     * Instructions after the final reference, from the v2
-     * end-of-trace marker (0 until the marker has been reached, and
-     * always 0 for v1). Wrap-around replay delays the first wrapped
-     * reference by this much.
+     * Instructions after the final reference, from the end-of-trace
+     * marker (0 until the marker has been reached). Wrap-around
+     * replay delays the first wrapped reference by this much.
      */
     std::uint64_t tailGap() const { return tailGap_; }
 
   private:
     void fail(const std::string &what);
     bool readVarint(std::uint64_t &out, const char *field);
-    bool nextV1(TraceRecord &out);
-    bool nextV2(TraceRecord &out);
 
     std::FILE *file_ = nullptr;
     std::string path_;
@@ -92,7 +83,7 @@ class TraceReader
     Addr prevVaddr_ = 0;
     std::uint64_t recordsRead_ = 0;
     std::uint64_t tailGap_ = 0;
-    bool atEnd_ = false; ///< v2 end marker reached (clears on rewind)
+    bool atEnd_ = false; ///< end marker reached (clears on rewind)
 };
 
 } // namespace amnt::sim::traceio

@@ -264,7 +264,7 @@ Workload::nextPointerChase()
 bool
 Workload::timedReplay() const
 {
-    return trace_ != nullptr && trace_->timed();
+    return trace_ != nullptr;
 }
 
 bool

@@ -133,10 +133,9 @@ struct WorkloadConfig
     /**
      * When non-empty, replay this recorded trace (see sim/traceio/)
      * instead of synthesizing references; the trace wraps around at
-     * its end. v2 traces replay timed (the recorded instruction gaps
-     * gate issue); v1 traces are gated by memIntensity as generators
-     * are. Generator parameters other than memIntensity are ignored
-     * in trace mode.
+     * its end. The recorded instruction gaps gate issue, not
+     * memIntensity; other generator parameters are ignored in trace
+     * mode.
      */
     std::string traceFile;
 
@@ -182,8 +181,8 @@ class Workload
     }
 
     /**
-     * True when this workload replays a timed (v2) trace: reference
-     * issue is then driven by replayTick(), not issuesMemRef().
+     * True when this workload replays a trace: reference issue is
+     * then driven by replayTick(), not issuesMemRef().
      */
     bool timedReplay() const;
 

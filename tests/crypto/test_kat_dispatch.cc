@@ -6,7 +6,8 @@
  * paths available on the host (scalar always; AES-NI / SHA-NI when
  * detected) and asserts the same NIST/FIPS/RFC vectors on each, plus
  * the batch-API contract: mac64xN/padxN bit-identical to N scalar
- * calls on every path, with the wide kernels both on and off.
+ * calls on every path, with the wide kernels both on and off, and
+ * every 4-lane SipHash kernel the CPU supports against scalar.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "crypto/dispatch.hh"
 #include "crypto/engines.hh"
 #include "crypto/hmac_sha256.hh"
+#include "crypto/isa_kernels.hh"
 #include "crypto/sha256.hh"
 #include "crypto/siphash.hh"
 
@@ -271,6 +273,53 @@ TEST(KatDispatch, SipHashBatchMatchesScalar)
     sip.macWordsMany(a.data(), b.data(), batch.data(), a.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(batch[i], sip.macWords(a[i], b[i])) << "lane " << i;
+}
+
+/**
+ * Dispatch only ever runs the widest vector SipHash kernel, so call
+ * every compiled-in 4-lane kernel the CPU supports directly.
+ */
+TEST(KatDispatch, SipHashFourLaneKernelsMatchScalar)
+{
+    const std::uint64_t k0 = 0x0706050403020100ULL;
+    const std::uint64_t k1 = 0x0f0e0d0c0b0a0908ULL;
+    const SipHash24 sip(k0, k1);
+    const dispatch::CpuCaps &caps = dispatch::cpuCaps();
+    std::vector<std::pair<const char *, dispatch::Sip4Fn>> kernels;
+    if (caps.avx2)
+        kernels.emplace_back("avx2", dispatch::sipAvx2Kernel());
+    if (caps.avx512vl)
+        kernels.emplace_back("avx512vl", dispatch::sipAvx512Kernel());
+    if (kernels.empty())
+        GTEST_SKIP() << "no vector SipHash kernel on this host";
+
+    std::uint8_t msgs[4][64];
+    for (std::size_t l = 0; l < 4; ++l)
+        for (std::size_t i = 0; i < 64; ++i)
+            msgs[l][i] = static_cast<std::uint8_t>(l * 71 + i * 13 + 1);
+
+    for (std::size_t len = 0; len <= 64; ++len) {
+        // Interleave word w of lane l at m[w * 4 + l], ending with
+        // the padded tail-and-length word, as SipHash24 stages it.
+        const std::size_t nwords = len / 8 + 1;
+        std::uint64_t m[9 * 4];
+        for (std::size_t l = 0; l < 4; ++l) {
+            for (std::size_t w = 0; w < len / 8; ++w)
+                m[w * 4 + l] = load64le(msgs[l] + 8 * w);
+            std::uint64_t last = static_cast<std::uint64_t>(len) << 56;
+            const std::uint8_t *tail = msgs[l] + len / 8 * 8;
+            for (std::size_t t = 0; t < len % 8; ++t)
+                last |= static_cast<std::uint64_t>(tail[t]) << (8 * t);
+            m[(nwords - 1) * 4 + l] = last;
+        }
+        for (const auto &[name, kernel] : kernels) {
+            std::uint64_t out[4];
+            kernel(k0, k1, m, nwords, out);
+            for (std::size_t l = 0; l < 4; ++l)
+                EXPECT_EQ(out[l], sip.mac(msgs[l], len))
+                    << name << " len " << len << " lane " << l;
+        }
+    }
 }
 
 /** Batch engine calls must equal N scalar calls on every path. */

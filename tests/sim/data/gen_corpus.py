@@ -52,7 +52,8 @@ w("data_after_end.trc",
   HDR_V2 + bytes([0x00, 0x01, 0x02, 0x03, 0x05, 0x00]))
 # A record but no end marker: the file was cut short.
 w("missing_end_marker.trc", HDR_V2 + bytes([0x00, 0x01, 0x02]))
-# v1 record cut short (5 of 9 bytes).
+# A v1 header (the retired fixed-width generation, no longer read)
+# and a record cut short: rejected as bad magic.
 w("v1_truncated_record.trc", HDR_V1 + bytes(5))
 
 # --- ChampSim imports --------------------------------------------------

@@ -53,7 +53,7 @@ TEST(Trace, RecordReplayRoundTrip)
     }
     TraceReader reader(path);
     ASSERT_TRUE(reader.ok()) << reader.error();
-    EXPECT_TRUE(reader.timed());
+    EXPECT_EQ(reader.version(), 2u);
     TraceRecord got;
     for (const MemRef &want : expected) {
         ASSERT_TRUE(reader.next(got));

@@ -183,8 +183,7 @@ info(const Options &o)
     if (!reader.ok())
         fatal("%s", reader.error().c_str());
     std::printf("trace:        %s\n", o.trace.c_str());
-    std::printf("format:       v%u (%s)\n", reader.version(),
-                reader.timed() ? "timed" : "untimed");
+    std::printf("format:       v%u (timed)\n", reader.version());
     std::printf("records:      %llu\n",
                 static_cast<unsigned long long>(
                     reader.recordsRead()));
