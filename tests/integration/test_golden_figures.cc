@@ -221,6 +221,47 @@ TEST(GoldenFigures, Fig06PinnedConfigsMatchGolden)
     checkGolden("golden_fig06.json", text);
 }
 
+TEST(GoldenFigures, Fig08PinnedConfigsMatchGolden)
+{
+    // Pinned miniature of the fig08 matrix: the four-core system with
+    // its shared 8 MB LLC, four seeded copies of one SPEC CPU2017
+    // program per job (as the harness runs them), the volatile
+    // baseline and the figure protocols. xz is the paper's
+    // write-intensive case, mcf its read-intensive one.
+    const std::uint64_t instr = 48000;
+    const std::uint64_t warmup = 16000;
+
+    std::vector<std::string> labels;
+    std::vector<sweep::Job> jobs;
+    for (const char *name : {"xz", "mcf"}) {
+        std::vector<sim::WorkloadConfig> procs;
+        for (int copy = 0; copy < 4; ++copy) {
+            sim::WorkloadConfig w = sim::specPreset(name);
+            w.footprintPages =
+                std::max<std::uint64_t>(256, w.footprintPages / 16);
+            // The miniature ROI never fills the 8 MB LLC, so pin
+            // persistence-model flushes to keep every protocol's
+            // write path inside the golden, as in the fig05 pin.
+            w.flushWriteFraction = 0.05;
+            w.seed += static_cast<std::uint64_t>(copy) * 977;
+            procs.push_back(w);
+        }
+        auto push = [&](sim::SystemConfig cfg, const char *suffix) {
+            labels.push_back(std::string(name) + "/" + suffix);
+            jobs.push_back(bench::makeJob(cfg, procs, instr, warmup));
+        };
+        push(bench::paperSystem(mee::Protocol::Volatile, 4), "volatile");
+        for (mee::Protocol p : bench::figureProtocols())
+            push(bench::paperSystem(p, 4), mee::protocolName(p));
+    }
+
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
+    std::string text;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        text += outcomeRow(labels[i], jobs[i], outcomes[i]) + "\n";
+    checkGolden("golden_fig08.json", text);
+}
+
 TEST(GoldenFigures, Table2PinnedConfigsMatchGolden)
 {
     // Pinned miniature of Table 2: one multiprogram pair under AMNT
