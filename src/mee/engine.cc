@@ -578,7 +578,10 @@ MemoryEngine::read(Addr addr, std::uint8_t *out)
         nvm_->touchRead(block);
 
     const Addr haddr = map_.hmacAddrOf(block);
-    const bool hmac_was_cached = mcache_.contains(haddr);
+    // Only the contents check reads it; contains() moves no stat and
+    // no LRU state, so skipping the scan changes no timing.
+    const bool hmac_was_cached =
+        config_.trackContents && mcache_.contains(haddr);
 
     unsigned misses = 0;
     Cycle hook = 0;

@@ -3,17 +3,23 @@
  * find, erase (backward-shift deletion), rehash, and iteration, plus
  * the edge cases open addressing gets wrong when the probe-chain
  * bookkeeping is off (erase in long collision runs, wrap-around at
- * the table end).
+ * the table end). Seeded op streams check both value layouts entry
+ * for entry and in iteration order against the all-inline reference
+ * map, and arena-held values are checked never to move.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.hh"
+#include "common/reference_flat_map.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -181,6 +187,212 @@ TEST(FlatMap, RandomizedParityWithUnorderedMap)
         ref.begin(), ref.end());
     std::sort(want.begin(), want.end());
     EXPECT_EQ(got, want);
+}
+
+/** A 64 B value, like the NVM store's and the HMAC table's blocks. */
+struct Wide
+{
+    std::array<std::uint64_t, 8> words{};
+    bool operator==(const Wide &) const = default;
+};
+
+/** A 24 B value: just past the inline bound. */
+struct Mid
+{
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    std::uint32_t c = 0;
+    bool operator==(const Mid &) const = default;
+};
+
+static_assert(sizeof(Wide) == 64 && sizeof(Mid) == 24);
+static_assert(FlatMap<std::uint64_t, Wide>::kArenaValues);
+static_assert(FlatMap<std::uint64_t, Mid>::kArenaValues);
+static_assert(
+    !FlatMap<std::uint64_t, std::array<std::uint8_t, 16>>::kArenaValues);
+static_assert(!FlatMap<std::uint64_t, std::uint64_t>::kArenaValues);
+static_assert(
+    std::is_nothrow_move_constructible_v<FlatMap<std::uint64_t, Wide>>);
+static_assert(
+    std::is_nothrow_move_assignable_v<FlatMap<std::uint64_t, Wide>>);
+static_assert(std::is_nothrow_move_constructible_v<
+              FlatMap<std::uint64_t, std::uint64_t>>);
+
+void
+fillValue(Wide &v, std::uint64_t x)
+{
+    for (std::size_t i = 0; i < v.words.size(); ++i)
+        v.words[i] = x * 0x9e3779b97f4a7c15ULL + i;
+}
+
+void
+fillValue(Mid &v, std::uint64_t x)
+{
+    v = {x, ~x, static_cast<std::uint32_t>(x >> 7)};
+}
+
+void
+fillValue(std::uint64_t &v, std::uint64_t x)
+{
+    v = x;
+}
+
+template <typename V>
+class FlatMapParity : public ::testing::Test
+{
+};
+
+using ParityValues = ::testing::Types<Wide, Mid, std::uint64_t>;
+TYPED_TEST_SUITE(FlatMapParity, ParityValues);
+
+/** Same size, same lookup of @p key, same entries in the same order. */
+template <typename Map, typename Ref>
+void
+expectSameMaps(const Map &map, const Ref &ref, std::uint64_t key)
+{
+    ASSERT_EQ(map.size(), ref.size());
+    ASSERT_EQ(map.empty(), ref.empty());
+    const auto it = map.find(key);
+    const auto rit = ref.find(key);
+    ASSERT_EQ(it == map.end(), rit == ref.end()) << "key " << key;
+    ASSERT_EQ(map.contains(key), ref.contains(key));
+    if (rit != ref.end()) {
+        ASSERT_TRUE(it->second == rit->second) << "key " << key;
+    }
+    auto a = map.begin();
+    auto b = ref.begin();
+    for (; a != map.end() && b != ref.end(); ++a, ++b) {
+        ASSERT_EQ(a->first, b->first);
+        ASSERT_TRUE(a->second == b->second) << "key " << a->first;
+    }
+    ASSERT_TRUE(a == map.end() && b == ref.end());
+}
+
+TYPED_TEST(FlatMapParity, SeededOpStreamsMatchReference)
+{
+    using V = TypeParam;
+    using Map = FlatMap<std::uint64_t, V>;
+    using Ref = test::ReferenceFlatMap<std::uint64_t, V>;
+
+    for (std::uint64_t seed : {1, 271828}) {
+        Map map;
+        Ref ref;
+        Rng rng(seed);
+        for (int step = 0; step < 8000; ++step) {
+            // Alternate insert-heavy and erase-heavy phases so the
+            // maps grow through several rehashes and drain again.
+            const bool filling = (step / 1000) % 2 == 0;
+            const std::uint64_t key = rng.below(512) * kBlockSize;
+            const std::uint64_t r = rng.below(1000);
+            const std::uint64_t x = rng.next();
+            if (r < (filling ? 400u : 200u)) {
+                auto [it, fresh] = map.try_emplace(key);
+                auto [rit, rfresh] = ref.try_emplace(key);
+                ASSERT_EQ(fresh, rfresh);
+                if (x & 1) {
+                    fillValue(it->second, x);
+                    fillValue(rit->second, x);
+                }
+            } else if (r < (filling ? 750u : 400u)) {
+                fillValue(map[key], x);
+                fillValue(ref[key], x);
+            } else if (r < 980) {
+                ASSERT_EQ(map.erase(key), ref.erase(key));
+            } else if (r < 988) {
+                // Deep copy: the copy outlives the original's storage.
+                Map copy(map);
+                map.clear();
+                map = copy;
+                Ref rcopy(ref);
+                ref.clear();
+                ref = rcopy;
+            } else if (r < 996) {
+                Map moved(std::move(map));
+                ASSERT_TRUE(map.empty());
+                ASSERT_EQ(map.find(key), map.end());
+                map = std::move(moved);
+                Ref rmoved(std::move(ref));
+                ref = std::move(rmoved);
+            } else {
+                map.clear();
+                ref.clear();
+            }
+            expectSameMaps(map, ref, key);
+        }
+    }
+}
+
+TEST(FlatMap, ArenaValuesNeverMove)
+{
+    // Pointers taken while the map holds one entry, and at sampled
+    // points of its growth, must still reach the same intact values
+    // after growth to 100k entries and after erasing other keys.
+    FlatMap<std::uint64_t, Wide> map;
+    auto expected = [](std::uint64_t k) {
+        Wide v;
+        fillValue(v, k);
+        return v;
+    };
+    std::vector<std::pair<std::uint64_t, const Wide *>> pinned;
+    auto insert = [&](std::uint64_t k) {
+        Wide &v = map[k * kBlockSize];
+        fillValue(v, k);
+        if (k % 997 == 0)
+            pinned.emplace_back(k, &v);
+    };
+    insert(0);
+    ASSERT_EQ(map.size(), 1u);
+    for (std::uint64_t k = 1; k < 100'000; ++k)
+        insert(k);
+    ASSERT_EQ(map.size(), 100'000u);
+
+    auto check = [&] {
+        for (const auto &[k, ptr] : pinned) {
+            const auto it = map.find(k * kBlockSize);
+            ASSERT_NE(it, map.end()) << "lost key " << k;
+            ASSERT_EQ(&it->second, ptr) << "value of key " << k << " moved";
+            ASSERT_TRUE(*ptr == expected(k)) << "key " << k;
+        }
+    };
+    check();
+
+    // Erase every key that is not pinned, then reuse the freed arena
+    // entries with fresh keys.
+    for (std::uint64_t k = 1; k < 100'000; ++k) {
+        if (k % 997 != 0) {
+            ASSERT_EQ(map.erase(k * kBlockSize), 1u);
+        }
+    }
+    ASSERT_EQ(map.size(), pinned.size());
+    check();
+    for (std::uint64_t k = 100'000; k < 150'000; ++k) {
+        Wide &v = map[k * kBlockSize];
+        ASSERT_TRUE(v == Wide{}) << "recycled entry not reset, key " << k;
+        fillValue(v, k);
+    }
+    check();
+    std::uint64_t seen = 0;
+    for (const auto &kv : map) {
+        ASSERT_TRUE(kv.second == expected(kv.first / kBlockSize))
+            << "key " << kv.first;
+        ++seen;
+    }
+    EXPECT_EQ(seen, pinned.size() + 50'000);
+}
+
+TEST(FlatMap, MovedFromMapIsEmptyAndReusable)
+{
+    FlatMap<std::uint64_t, Wide> map;
+    fillValue(map[64], 1);
+    FlatMap<std::uint64_t, Wide> other(std::move(map));
+    EXPECT_TRUE(map.empty());
+    EXPECT_EQ(map.begin(), map.end());
+    fillValue(map[128], 2);
+    EXPECT_EQ(map.size(), 1u);
+    EXPECT_EQ(other.size(), 1u);
+    Wide want;
+    fillValue(want, 1);
+    EXPECT_TRUE(other.find(64)->second == want);
 }
 
 } // namespace

@@ -5,7 +5,9 @@ Exercises the (protocol, preset, shards) cell keying: sharded rows
 must not be compared against the legacy (shards-free) history cell,
 cells absent from history are record-only instead of a crash,
 malformed history entries are ignored with a warning, regressions on
-matching keys still gate, and --append round-trips the shards field.
+matching keys still gate, --append round-trips the shards field, and
+the dump's top-level peak_rss_mb (every JsonSink document carries one)
+is ignored: the tool reads only "bench" and "rows".
 
 Run directly or via ctest (registered in tests/CMakeLists.txt).
 """
@@ -185,6 +187,30 @@ class CheckReplayBenchTest(unittest.TestCase):
         self.assertEqual(res.returncode, 0, res.stderr)
         self.assertIn("phoenix/gups: 900", res.stdout)
         self.assertIn("ok", res.stdout)
+
+    def test_top_level_peak_rss_is_ignored(self):
+        for rss in (37.5, None):
+            dump = current_dump([row("amnt", "zipfian", 1000.0)])
+            dump["peak_rss_mb"] = rss
+            cur = write_json(self.dir, "cur.json", dump)
+            hist = write_json(
+                self.dir,
+                "hist.json",
+                history_dump([entry("amnt", "zipfian", 1000.0)]),
+            )
+            res = run_tool(
+                "--current", cur, "--history", hist,
+                "--append", "--rev", "r1",
+            )
+            self.assertEqual(res.returncode, 0, res.stderr)
+            self.assertIn("amnt/zipfian: 1,000/s", res.stdout)
+            with open(hist) as f:
+                recorded = json.load(f)
+            self.assertEqual(set(recorded), {"bench", "entries"})
+            self.assertEqual(
+                set(recorded["entries"][1]),
+                {"protocol", "preset", "accesses_per_sec", "git_rev"},
+            )
 
 
 if __name__ == "__main__":
