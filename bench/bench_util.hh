@@ -12,10 +12,11 @@
  *
  * Harnesses enqueue their whole configuration matrix as sweep::Jobs
  * and execute it once through sweep::run(), which fans the
- * independent simulations out over a work-stealing thread pool
- * (AMNT_SWEEP_THREADS workers) and returns outcomes in submission
- * order — tables are formatted from the outcome vector afterwards, so
- * stdout is byte-identical at any thread count.
+ * independent simulations out over a FIFO thread pool
+ * (AMNT_SWEEP_THREADS workers; jobs start in list order) and returns
+ * outcomes in submission order — tables are formatted from the
+ * outcome vector afterwards, so stdout is byte-identical at any
+ * thread count.
  *
  * Environment knobs:
  *   AMNT_BENCH_INSTR    instructions per core measured  (default 2M)

@@ -16,24 +16,20 @@ ThreadPool::ThreadPool(unsigned threads)
 {
     if (threads == 0)
         threads = hardwareThreads();
-    queues_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        queues_.push_back(std::make_unique<WorkQueue>());
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
-    wait();
-    stop_.store(true);
     {
-        // Taking the lock orders the store against sleeping workers'
-        // predicate checks, so none can miss the shutdown signal.
-        std::lock_guard<std::mutex> lock(sleepMutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_ = true;
     }
-    wake_.notify_all();
+    workReady_.notify_all();
+    // Workers leave only once the queue is empty, so every pending
+    // task still runs.
     for (auto &w : workers_)
         w.join();
 }
@@ -41,83 +37,40 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    const std::size_t victim =
-        nextQueue_.fetch_add(1, std::memory_order_relaxed) %
-        queues_.size();
     {
-        std::lock_guard<std::mutex> lock(queues_[victim]->mutex);
-        queues_[victim]->tasks.push_back(std::move(task));
+        std::lock_guard<std::mutex> lock(mutex_);
+        tasks_.push_back(std::move(task));
+        ++pending_;
     }
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
-        queued_.fetch_add(1, std::memory_order_relaxed);
-    }
-    wake_.notify_one();
-}
-
-bool
-ThreadPool::runOne(unsigned self)
-{
-    std::function<void()> task;
-
-    // Own queue first, newest task (LIFO keeps the footprint warm)...
-    {
-        WorkQueue &own = *queues_[self];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.tasks.empty()) {
-            task = std::move(own.tasks.back());
-            own.tasks.pop_back();
-        }
-    }
-    // ... then steal the oldest task from the other queues.
-    if (!task) {
-        const std::size_t n = queues_.size();
-        for (std::size_t d = 1; d < n && !task; ++d) {
-            WorkQueue &other = *queues_[(self + d) % n];
-            std::lock_guard<std::mutex> lock(other.mutex);
-            if (!other.tasks.empty()) {
-                task = std::move(other.tasks.front());
-                other.tasks.pop_front();
-            }
-        }
-    }
-    if (!task)
-        return false;
-
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-    task();
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
-        idle_.notify_all();
-    }
-    return true;
+    workReady_.notify_one();
 }
 
 void
-ThreadPool::workerLoop(unsigned self)
+ThreadPool::workerLoop()
 {
+    std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-        if (runOne(self))
-            continue;
-        std::unique_lock<std::mutex> lock(sleepMutex_);
-        wake_.wait(lock, [this] {
-            return stop_.load() ||
-                   queued_.load(std::memory_order_relaxed) > 0;
-        });
-        if (stop_.load() &&
-            queued_.load(std::memory_order_relaxed) == 0)
-            return;
+        workReady_.wait(lock,
+                        [this] { return stop_ || !tasks_.empty(); });
+        if (tasks_.empty())
+            return; // stopped and drained
+        {
+            std::function<void()> task = std::move(tasks_.front());
+            tasks_.pop_front();
+            lock.unlock();
+            task();
+        } // the task's captures die before wait() can return
+        lock.lock();
+        if (--pending_ == 0)
+            allDone_.notify_all();
     }
 }
 
 void
 ThreadPool::wait()
 {
-    std::unique_lock<std::mutex> lock(sleepMutex_);
-    idle_.wait(lock, [this] {
-        return pending_.load(std::memory_order_acquire) == 0;
-    });
+    std::unique_lock<std::mutex> lock(mutex_);
+    allDone_.wait(lock, [this] { return pending_ == 0; });
 }
 
 } // namespace amnt

@@ -1,12 +1,12 @@
 /**
  * @file
- * Work-stealing thread pool for coarse-grained, independent jobs.
+ * FIFO thread pool for coarse-grained, independent jobs.
  *
- * Each worker owns a deque: it pops its own work LIFO (cache-warm)
- * and steals FIFO from the other workers when it runs dry, so a few
- * long simulations left on one queue are redistributed instead of
- * serializing the tail of a sweep. Submissions round-robin across the
- * queues. The pool makes no ordering promises — callers that need
+ * One mutex-guarded queue feeds every worker: an idle worker takes
+ * the oldest task, so tasks start in submission order. A sweep that
+ * lists its longest jobs first therefore starts them first, and no
+ * short job waits behind a long one while a worker is idle. The pool
+ * makes no completion-order promises — callers that need
  * deterministic results index into a pre-sized output array, which is
  * exactly what sweep::run does.
  */
@@ -14,12 +14,10 @@
 #ifndef AMNT_COMMON_THREAD_POOL_HH
 #define AMNT_COMMON_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -59,29 +57,15 @@ class ThreadPool
     static unsigned hardwareThreads();
 
   private:
-    /** One worker's deque; owner pops back, thieves pop front. */
-    struct WorkQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
+    void workerLoop();
 
-    /** Run one task if any can be popped or stolen. */
-    bool runOne(unsigned self);
-
-    void workerLoop(unsigned self);
-
-    std::vector<std::unique_ptr<WorkQueue>> queues_;
+    std::mutex mutex_; ///< guards every member below
+    std::condition_variable workReady_; ///< a task was queued, or stop
+    std::condition_variable allDone_;   ///< pending_ reached zero
+    std::deque<std::function<void()>> tasks_; ///< oldest at the front
+    std::size_t pending_ = 0; ///< queued + running
+    bool stop_ = false;
     std::vector<std::thread> workers_;
-
-    std::mutex sleepMutex_;
-    std::condition_variable wake_;  ///< workers sleep here when dry
-    std::condition_variable idle_;  ///< wait() sleeps here
-
-    std::atomic<std::uint64_t> queued_{0};  ///< tasks not yet started
-    std::atomic<std::uint64_t> pending_{0}; ///< queued + running
-    std::atomic<bool> stop_{false};
-    std::atomic<std::size_t> nextQueue_{0}; ///< round-robin submit
 };
 
 } // namespace amnt

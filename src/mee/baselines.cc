@@ -191,13 +191,8 @@ OsirisStrategy::recover()
                     const unsigned v = base + d;
                     if (v > kMinorCounterMax)
                         break;
-                    const std::uint64_t tweak =
-                        (daddr << 16) ^ (rec.cb.major << 7) ^ v;
-                    if (cipher_p == nullptr)
-                        treqs[ncand] = {"", 0, tweak};
-                    else
-                        treqs[ncand] = {cipher_p, kBlockSize, tweak};
-                    ++ncand;
+                    treqs[ncand++] =
+                        dataMacRequest(daddr, rec.cb.major, v, cipher_p);
                 }
                 std::uint64_t cand[kMinorCounterMax + 1u];
                 dataSuite(daddr).hash->mac64xN(treqs, ncand, cand);

@@ -437,6 +437,16 @@ MemoryEngine::dataSuite(Addr data_addr) const
     return tenantCrypto_[idx];
 }
 
+crypto::MacRequest
+MemoryEngine::dataMacRequest(Addr block, std::uint64_t major,
+                             unsigned minor, const std::uint8_t *cipher)
+{
+    const std::uint64_t tweak = (block << 16) ^ (major << 7) ^ minor;
+    if (cipher == nullptr)
+        return {"", 0, tweak};
+    return {cipher, kBlockSize, tweak};
+}
+
 std::uint64_t
 MemoryEngine::dataMac(Addr addr, const std::uint8_t *cipher) const
 {
@@ -445,12 +455,9 @@ MemoryEngine::dataMac(Addr addr, const std::uint8_t *cipher) const
     const bmt::CounterBlock &cb = tree_->counter(idx);
     const unsigned slot =
         static_cast<unsigned>(blockOf(block) % kBlocksPerPage);
-    const std::uint64_t tweak =
-        (block << 16) ^ (cb.major << 7) ^ cb.minors[slot];
-    const crypto::CryptoSuite &suite = dataSuite(block);
-    if (cipher == nullptr)
-        return suite.hash->mac64("", 0, tweak);
-    return suite.hash->mac64(cipher, kBlockSize, tweak);
+    const crypto::MacRequest req =
+        dataMacRequest(block, cb.major, cb.minors[slot], cipher);
+    return dataSuite(block).hash->mac64(req.data, req.len, req.tweak);
 }
 
 void
@@ -527,14 +534,10 @@ MemoryEngine::reencryptPage(std::uint64_t counterIdx)
     // HMAC entries for the page: one batched MAC burst.
     std::uint64_t macs[kBlocksPerPage];
     crypto::MacRequest mreqs[kBlocksPerPage];
-    for (std::size_t k = 0; k < m; ++k) {
-        const std::uint64_t tweak =
-            (addrs[k] << 16) ^ (cb.major << 7) ^ cb.minors[slots[k]];
-        if (config_.trackContents)
-            mreqs[k] = {ciphers + k * kBlockSize, kBlockSize, tweak};
-        else
-            mreqs[k] = {"", 0, tweak};
-    }
+    for (std::size_t k = 0; k < m; ++k)
+        mreqs[k] = dataMacRequest(
+            addrs[k], cb.major, cb.minors[slots[k]],
+            config_.trackContents ? ciphers + k * kBlockSize : nullptr);
     dataSuite(page_base).hash->mac64xN(mreqs, m, macs);
     trace_.instant(obs::EventClass::CryptoBatch, m);
     for (std::size_t k = 0; k < m; ++k) {

@@ -485,6 +485,16 @@ class MemoryEngine
     /** Re-encrypt an entire page after a minor-counter overflow. */
     Cycle reencryptPage(std::uint64_t counterIdx);
 
+    /**
+     * MAC request for data block @p block under counter (@p major,
+     * @p minor) — the one place the data-MAC tweak is spelled. A
+     * timing-plane block (@p cipher nullptr) MACs the empty message.
+     */
+    static crypto::MacRequest dataMacRequest(Addr block,
+                                             std::uint64_t major,
+                                             unsigned minor,
+                                             const std::uint8_t *cipher);
+
     /** Compute the HMAC entry for data block @p addr. */
     std::uint64_t dataMac(Addr addr, const std::uint8_t *cipher) const;
 

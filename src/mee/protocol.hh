@@ -188,6 +188,12 @@ class ProtocolStrategy
     {
         return eng_->dataSuite(data_addr);
     }
+    static crypto::MacRequest
+    dataMacRequest(Addr block, std::uint64_t major, unsigned minor,
+                   const std::uint8_t *cipher)
+    {
+        return MemoryEngine::dataMacRequest(block, major, minor, cipher);
+    }
     std::vector<bmt::NodeRef> &pathScratch()
     {
         return eng_->pathScratch_;

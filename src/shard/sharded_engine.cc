@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/bitops.hh"
-#include "common/env.hh"
 #include "common/log.hh"
 #include "obs/registry.hh"
 
@@ -23,26 +22,17 @@ blockZero(const mem::Block &b)
     return true;
 }
 
-} // namespace
-
-ShardOptions
-resolveOptions(ShardOptions opts)
+/** @p opts, after rejecting a count the model cannot run with. */
+const ShardOptions &
+checked(const ShardOptions &opts)
 {
-    if (opts.slices == 0)
-        opts.slices =
-            static_cast<unsigned>(envU64("AMNT_SHARD_SLICES", 4));
-    if (opts.slices == 0)
-        opts.slices = 1;
-    if (opts.epochWrites == 0)
-        opts.epochWrites = envU64("AMNT_SHARD_EPOCH", 1024);
-    if (opts.epochWrites == 0)
-        opts.epochWrites = 1;
-    if (opts.lanes == 0)
-        opts.lanes = 1;
-    if (opts.cores == 0)
-        opts.cores = 1;
+    if (opts.slices == 0 || opts.epochWrites == 0 || opts.cores == 0)
+        fatal("sharded engine needs at least one slice, one write per "
+              "epoch and one core");
     return opts;
 }
+
+} // namespace
 
 // ----------------------------------------------------------------
 // EngineShard
@@ -239,13 +229,11 @@ EngineShard::harvest(std::vector<Cycle> &out)
 ShardedEngine::ShardedEngine(mee::Protocol protocol,
                              const mee::MeeConfig &total,
                              const ShardOptions &opts)
-    : part_(total.dataBytes, resolveOptions(opts).slices),
-      epochWrites_(resolveOptions(opts).epochWrites),
-      cores_(resolveOptions(opts).cores),
+    : part_(total.dataBytes, checked(opts).slices),
+      epochWrites_(opts.epochWrites),
       recordCrypto_(crypto::CryptoSuite::make(
           total.plane, total.keySeed ^ 0xec0cull))
 {
-    const ShardOptions r = resolveOptions(opts);
     // Reads buffer too; bound queue growth on read-only phases.
     epochOpsCap_ = epochWrites_ * 8;
     opsBuffered_ = &stats_.counter("ops_buffered");
@@ -253,12 +241,12 @@ ShardedEngine::ShardedEngine(mee::Protocol protocol,
 
     mee::MeeConfig slice_cfg = total;
     slice_cfg.dataBytes = part_.sliceBytes;
-    for (unsigned i = 0; i < r.slices; ++i)
+    for (unsigned i = 0; i < opts.slices; ++i)
         shards_.push_back(std::make_unique<EngineShard>(
-            protocol, slice_cfg, cores_));
+            protocol, slice_cfg, opts.cores));
 
-    if (r.lanes > 1)
-        pool_ = std::make_unique<ThreadPool>(r.lanes);
+    if (opts.lanes > 1)
+        pool_ = std::make_unique<ThreadPool>(opts.lanes);
 }
 
 ShardedEngine::~ShardedEngine()

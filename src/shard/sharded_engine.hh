@@ -12,7 +12,7 @@
  *     data range is always split into `slices` equal slices, each a
  *     full mee::MemoryEngine with its own metadata cache, counter
  *     table, BMT subtree and NvmDevice. The slice count is a model
- *     parameter (AMNT_SHARD_SLICES, default 4) — it defines the
+ *     parameter (ShardOptions::slices, default 4) — it defines the
  *     simulated machine.
  *
  *  2. Host drain lanes (`--shards=N` / AMNT_SHARDS): how many host
@@ -76,20 +76,16 @@ namespace amnt::shard
 struct ShardOptions
 {
     /**
-     * Logical slice count (the model parameter). 0 resolves
-     * AMNT_SHARD_SLICES, default 4. Changing it changes the
-     * simulated machine; changing `lanes` never does.
+     * Logical slice count (the model parameter). Changing it changes
+     * the simulated machine; changing `lanes` never does.
      */
-    unsigned slices = 0;
+    unsigned slices = 4;
 
     /** Host drain lanes (`--shards=N`). 1 = serial drains. */
     unsigned lanes = 1;
 
-    /**
-     * Buffered writes per epoch before the coordinator closes it.
-     * 0 resolves AMNT_SHARD_EPOCH, default 1024.
-     */
-    std::uint64_t epochWrites = 0;
+    /** Buffered writes per epoch before the coordinator closes it. */
+    std::uint64_t epochWrites = 1024;
 
     /** Cores feeding the engine (per-core latency accumulators). */
     unsigned cores = 1;
@@ -312,7 +308,6 @@ class ShardedEngine final : public mee::SecureMemory
     Partition part_;
     std::uint64_t epochWrites_;
     std::uint64_t epochOpsCap_;
-    unsigned cores_;
     std::vector<std::unique_ptr<EngineShard>> shards_;
     std::unique_ptr<ThreadPool> pool_;
     fault::FaultDomain *fd_ = nullptr;
@@ -332,9 +327,6 @@ class ShardedEngine final : public mee::SecureMemory
     /** Pipelined mode: epoch drained/draining but uncommitted. */
     std::uint64_t inflightEpoch_ = 0;
 };
-
-/** Resolve ShardOptions defaults (AMNT_SHARD_SLICES/AMNT_SHARD_EPOCH). */
-ShardOptions resolveOptions(ShardOptions opts);
 
 } // namespace amnt::shard
 

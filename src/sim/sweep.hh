@@ -5,8 +5,9 @@
  * Every figure/table binary replays the same pattern: tens of fully
  * independent (protocol x workload x config) simulations whose results
  * are only combined at formatting time. sweep::run executes such a
- * job list on a work-stealing thread pool and returns the outcomes in
- * submission order.
+ * job list on a FIFO thread pool — jobs start in list order, so a
+ * list that puts its longest jobs first starts them first — and
+ * returns the outcomes in submission order.
  *
  * Determinism guarantee: results are bit-identical to a serial run at
  * any thread count. Each job constructs its own sim::System (and with

@@ -92,7 +92,7 @@ System::System(const SystemConfig &config) : config_(config)
     }
 
     if (config_.shards > 0) {
-        shard::ShardOptions so = config_.shardOptions;
+        shard::ShardOptions so;
         so.lanes = config_.shards;
         so.cores = config_.cores;
         memory_ = std::make_unique<shard::ShardedEngine>(

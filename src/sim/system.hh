@@ -48,16 +48,13 @@ struct SystemConfig
      * core::FlatMemory (unless AMNT_SHARDS overrides it at
      * construction); N >= 1 builds a shard::ShardedEngine with N
      * host drain lanes (shard/sharded_engine.hh). Both sit behind
-     * the same mee::SecureMemory interface. The logical slice
-     * partition is fixed by shardOptions.slices (default
-     * AMNT_SHARD_SLICES = 4) independent of N, so simulated results
-     * are byte-identical at any shard count — `--shards=1` is the
-     * sharded model on one lane, not the flat memory.
+     * the same mee::SecureMemory interface. The logical partition
+     * is always shard::ShardOptions' default 4 slices, independent
+     * of N, so simulated results are byte-identical at any shard
+     * count — `--shards=1` is the sharded model on one lane, not the
+     * flat memory.
      */
     unsigned shards = 0;
-
-    /** Slice/epoch knobs for the sharded engine (0 = env default). */
-    shard::ShardOptions shardOptions;
 
     /** Private cache levels per core (L1 first). */
     std::vector<cache::CacheConfig> privateLevels = {

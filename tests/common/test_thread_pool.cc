@@ -1,13 +1,15 @@
 /**
- * ThreadPool tests: every submitted task runs exactly once, wait()
- * really drains, work submitted to one queue is stolen by idle
- * workers, and the pool survives reuse across multiple wait() rounds.
+ * ThreadPool tests: every submitted task runs exactly once, tasks
+ * start in submission order, wait() really drains, short tasks never
+ * wait behind long ones while a worker is idle, and the pool survives
+ * reuse across multiple wait() rounds.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -42,6 +44,23 @@ TEST(ThreadPool, SingleWorkerStillCompletes)
     EXPECT_EQ(sum.load(), 5050);
 }
 
+TEST(ThreadPool, OneWorkerStartsTasksInSubmissionOrder)
+{
+    // Hold the only worker until every task is queued, so the order
+    // the tasks run in is the order the pool hands them out.
+    ThreadPool pool(1);
+    std::latch release(1);
+    pool.submit([&release] { release.wait(); });
+    std::vector<int> order;
+    for (int i = 0; i < 100; ++i)
+        pool.submit([&order, i] { order.push_back(i); });
+    release.count_down();
+    pool.wait();
+    ASSERT_EQ(order.size(), 100u);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(order[i], i);
+}
+
 TEST(ThreadPool, WaitIsReusable)
 {
     ThreadPool pool(3);
@@ -56,9 +75,9 @@ TEST(ThreadPool, WaitIsReusable)
 
 TEST(ThreadPool, StealsFromBusyWorkers)
 {
-    // One long task occupies its queue's owner; the short tasks
-    // round-robined behind it must be stolen and finish long before
-    // the sleeper does, or wait() would take ~#tasks * sleep.
+    // Every fourth task sleeps. Idle workers take the short tasks
+    // queued behind a sleeper instead of waiting for it, or wait()
+    // would take ~#tasks * sleep.
     ThreadPool pool(4);
     std::atomic<int> done{0};
     const auto start = std::chrono::steady_clock::now();

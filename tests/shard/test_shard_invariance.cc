@@ -43,10 +43,6 @@ shardedConfig(mee::Protocol p, unsigned shards)
 {
     sim::SystemConfig cfg = sim::SystemConfig::singleProgram(p);
     cfg.shards = shards;
-    // Pin the slice partition explicitly: the invariance contract is
-    // "same machine, different lane count", so the machine parameter
-    // must not float on AMNT_SHARD_SLICES.
-    cfg.shardOptions.slices = 4;
     return cfg;
 }
 
@@ -146,7 +142,6 @@ TEST(ShardInvariance, EnvOverrideEnablesShardedModel)
     EnvScope env("AMNT_SHARDS", "2");
     sim::SystemConfig cfg =
         sim::SystemConfig::singleProgram(mee::Protocol::Leaf);
-    cfg.shardOptions.slices = 4;
     ASSERT_EQ(cfg.shards, 0u); // config leaves it to the env
     sim::System system(cfg);
     EXPECT_EQ(system.engine().sliceCount(), 4u);

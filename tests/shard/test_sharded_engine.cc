@@ -132,6 +132,16 @@ TEST(ShardedEngine, EpochClosesAtConfiguredWriteCount)
     EXPECT_EQ(eng.committedEpoch(), 1u);
 }
 
+TEST(ShardedEngine, RejectsZeroSlicesOrEpochWrites)
+{
+    EXPECT_DEATH(shard::ShardedEngine(mee::Protocol::Leaf,
+                                      smallConfig(), options(0, 1)),
+                 "at least one slice");
+    EXPECT_DEATH(shard::ShardedEngine(mee::Protocol::Leaf,
+                                      smallConfig(), options(2, 1, 0)),
+                 "one write per epoch");
+}
+
 TEST(ShardedEngine, LaneCountNeverChangesRegisteredStats)
 {
     // `--shards=N` is execution policy: every simulated statistic —
