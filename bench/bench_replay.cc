@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -42,10 +43,14 @@ namespace
 
 const char *const kPresets[] = {"zipfian", "gups", "stream"};
 
+/** Scratch trace file under $TMPDIR (default /tmp). */
 std::string
 tracePath(const std::string &preset)
 {
-    return "/tmp/bench_replay_" + preset + "." +
+    const char *dir = std::getenv("TMPDIR");
+    if (dir == nullptr || *dir == '\0')
+        dir = "/tmp";
+    return std::string(dir) + "/bench_replay_" + preset + "." +
            std::to_string(static_cast<unsigned long long>(getpid())) +
            ".trc";
 }

@@ -62,6 +62,8 @@ Harness::rebuildFresh()
 {
     memory.reset();
     memory = std::make_unique<core::FlatMemory>(protocol, mee);
+    // Compare every skipped fetch check with the check it skips.
+    memory->engine().setFetchCrossCheck(true);
     memory->setFaultDomain(&domain);
     domain.startCounting();
 }

@@ -155,7 +155,7 @@ void
 MemoryEngine::persistBytes(Addr maddr, const mem::Block &bytes)
 {
     trace_.instant(obs::EventClass::Persist, maddr);
-    nvm_->writeBlock(maddr, bytes);
+    writeNvm(maddr, bytes);
     if (blockIsZero(bytes))
         persistedMac_.erase(maddr);
     else
@@ -206,7 +206,7 @@ MemoryEngine::persistBytesMany(const Addr *addrs,
         for (std::size_t k = 0; k < chunk; ++k) {
             if (trace_.on())
                 trace_.instant(obs::EventClass::Persist, addrs[k]);
-            nvm_->writeBlock(addrs[k], *blocks[k]);
+            writeNvm(addrs[k], *blocks[k]);
             if (blockIsZero(*blocks[k])) {
                 persistedMac_.erase(addrs[k]);
             } else {
@@ -221,14 +221,17 @@ MemoryEngine::persistBytesMany(const Addr *addrs,
 }
 
 void
-MemoryEngine::verifyFetched(Addr maddr, const mem::Block &bytes)
+MemoryEngine::writeNvm(Addr addr, const mem::Block &bytes)
 {
-    // A fetched metadata block must be byte-identical to what the
-    // engine last persisted there; the check is a keyed MAC so any
-    // physical modification (splice, spoof, or replay of an older
-    // value) diverges with overwhelming probability. This is the
-    // fetch-time arm of the integrity chain; the crash-time arm is
-    // the recovery root comparison against the NV root register.
+    nvm_->writeBlock(addr, bytes);
+    // Counted only once the write landed: a crash-suppressed write
+    // throws out of writeBlock and changes neither side's count.
+    ++ownMutations_;
+}
+
+bool
+MemoryEngine::matchesPersisted(Addr maddr, const mem::Block &bytes) const
+{
     auto it = persistedMac_.find(maddr);
     const std::uint64_t expect =
         it == persistedMac_.end() ? 0 : it->second;
@@ -236,7 +239,38 @@ MemoryEngine::verifyFetched(Addr maddr, const mem::Block &bytes)
         blockIsZero(bytes)
             ? 0
             : crypto_.hash->mac64(bytes.data(), bytes.size(), maddr);
-    if (got != expect) {
+    return got == expect;
+}
+
+void
+MemoryEngine::fetchMetadata(Addr maddr)
+{
+    if (nvm_->mutations() == ownMutations_) {
+        // Every byte on the device came from one of this engine's
+        // writes, and each write recorded its persistedMac_ entry
+        // right after it landed, with no persist point in between.
+        // The fetched bytes therefore match: count the read and skip
+        // the copy and the MAC. A tamper, a rollback or an outside
+        // write makes the counts differ for good.
+        nvm_->touchRead(maddr);
+        if (fetchCrossCheck_) {
+            mem::Block bytes;
+            nvm_->peek(maddr, bytes);
+            if (!matchesPersisted(maddr, bytes))
+                panic("fetch fast path skipped a mismatch at %llx",
+                      static_cast<unsigned long long>(maddr));
+        }
+        return;
+    }
+    // A fetched metadata block must be byte-identical to what the
+    // engine last persisted there; the check is a keyed MAC so any
+    // physical modification (splice, spoof, or replay of an older
+    // value) diverges with overwhelming probability. This is the
+    // fetch-time arm of the integrity chain; the crash-time arm is
+    // the recovery root comparison against the NV root register.
+    mem::Block bytes;
+    nvm_->readBlock(maddr, bytes);
+    if (!matchesPersisted(maddr, bytes)) {
         switch (map_.classify(maddr)) {
           case mem::Region::Counter:
             flagViolation("counter", maddr);
@@ -248,7 +282,7 @@ MemoryEngine::verifyFetched(Addr maddr, const mem::Block &bytes)
             flagViolation("hmac block", maddr);
             break;
           case mem::Region::Data:
-            panic("verifyFetched on a data address");
+            panic("fetchMetadata on a data address");
         }
     }
 }
@@ -299,9 +333,7 @@ MemoryEngine::ensureResident(Addr maddr, unsigned &misses)
     trace_.instant(obs::EventClass::McacheMiss, maddr);
     ++misses;
     ++*metaFetches_;
-    mem::Block bytes;
-    nvm_->readBlock(maddr, bytes);
-    verifyFetched(maddr, bytes);
+    fetchMetadata(maddr);
     const cache::AccessResult res = mcache_.insert(maddr, false);
     handleEviction(res);
     return strategy_->onMetaInsert(maddr);
@@ -346,9 +378,7 @@ MemoryEngine::markDirty(Addr maddr)
         // this update; re-fetch (read-modify-write).
         trace_.instant(obs::EventClass::McacheMiss, maddr);
         ++*metaFetches_;
-        mem::Block bytes;
-        nvm_->readBlock(maddr, bytes);
-        verifyFetched(maddr, bytes);
+        fetchMetadata(maddr);
         const cache::AccessResult res = mcache_.insert(maddr, true);
         handleEviction(res);
         strategy_->onMetaInsert(maddr);
@@ -527,7 +557,7 @@ MemoryEngine::reencryptPage(std::uint64_t counterIdx)
                 c[i] ^= plain[i];
             mem::Block out;
             std::memcpy(out.data(), c, kBlockSize);
-            nvm_->writeBlock(addrs[k], out);
+            writeNvm(addrs[k], out);
         }
     }
 
@@ -690,7 +720,7 @@ MemoryEngine::writeCommon(Addr addr, const std::uint8_t *data,
         mem::Block cipher;
         dataSuite(block).enc->xorPad(block, cb.major, cb.minors[slot],
                                      data, cipher.data());
-        nvm_->writeBlock(block, cipher);
+        writeNvm(block, cipher);
     } else {
         nvm_->touchWrite(block);
     }

@@ -267,6 +267,15 @@ class MemoryEngine
      */
     std::vector<Addr> staleMetadataBlocks() const;
 
+    /**
+     * Test-only reference check of the fetch fast path: while on,
+     * every metadata fetch that skips the NVM copy and MAC (see
+     * fetchMetadata) also peeks the device bytes, MACs them and
+     * panics if the skipped check would have flagged them. Traffic
+     * and statistics are unchanged. Off by default.
+     */
+    void setFetchCrossCheck(bool on) { fetchCrossCheck_ = on; }
+
   protected:
     /**
      * Ensure @p maddr is resident in the metadata cache, fetching
@@ -472,11 +481,32 @@ class MemoryEngine
     std::uint64_t *metaWritebacks_;
     std::uint64_t *persistWrites_;
 
+    /**
+     * Device mutations this engine made. While it equals
+     * nvm_->mutations(), every byte on the device came from a write
+     * of this engine; it starts at zero, so an engine built on a
+     * device written before never sees the two match.
+     */
+    std::uint64_t ownMutations_ = 0;
+
+    /** See setFetchCrossCheck. */
+    bool fetchCrossCheck_ = false;
+
     /** Handle a (possibly dirty) eviction returned by the cache. */
     void handleEviction(const cache::AccessResult &res);
 
-    /** Verify fetched NVM bytes for a metadata block. */
-    void verifyFetched(Addr maddr, const mem::Block &bytes);
+    /** Whether @p bytes MAC to what was last persisted at @p maddr. */
+    bool matchesPersisted(Addr maddr, const mem::Block &bytes) const;
+
+    /**
+     * Read a missed metadata block from NVM and verify it. While this
+     * engine is the device's only writer, the bytes are known to match
+     * and only the read is counted (DESIGN.md §8).
+     */
+    void fetchMetadata(Addr maddr);
+
+    /** Write @p bytes to NVM, counting the engine's own mutation. */
+    void writeNvm(Addr addr, const mem::Block &bytes);
 
     /** Write path: counter increment + overflow + HMAC update. */
     Cycle writeCommon(Addr addr, const std::uint8_t *data,

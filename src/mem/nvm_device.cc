@@ -29,6 +29,7 @@ NvmDevice::tamper(Addr addr, std::size_t offset, std::uint8_t mask)
     // visible to recovery scans like any engine-persisted block.
     auto [it, fresh] = store_.try_emplace(blockOf(addr));
     it->second[offset] ^= mask;
+    ++mutations_;
     return !fresh;
 }
 
@@ -62,6 +63,7 @@ NvmDevice::journalRollback()
             store_.try_emplace(blk).first->second = e.preimage;
         else
             store_.erase(blk);
+        ++mutations_;
         affected.push_back(blockAddr(blk));
     }
     journalEntries_.clear();

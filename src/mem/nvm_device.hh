@@ -91,6 +91,7 @@ class NvmDevice
         if (fault_ != nullptr)
             fault_->persistPoint();
         ++writes_;
+        ++mutations_;
         if (journal_)
             journalCapture(blockOf(addr));
         // try_emplace + assign: fresh blocks are value-initialized
@@ -156,6 +157,15 @@ class NvmDevice
 
     /** Writes since construction. */
     std::uint64_t writes() const { return writes_; }
+
+    /**
+     * Content changes since construction: one per landed writeBlock,
+     * tamper, and block restored or erased by journalRollback. A
+     * crash-suppressed write, touchWrite and every read leave it
+     * alone. An engine compares it with its own write count to learn
+     * whether anyone else changed the device (DESIGN.md §8).
+     */
+    std::uint64_t mutations() const { return mutations_; }
 
     /** Number of distinct blocks ever written. */
     std::uint64_t blocksTouched() const { return store_.size(); }
@@ -263,6 +273,7 @@ class NvmDevice
     FlatMap<BlockId, Block> store_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
+    std::uint64_t mutations_ = 0;
     fault::FaultDomain *fault_ = nullptr;
 
     bool journal_ = false;

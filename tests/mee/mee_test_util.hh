@@ -42,6 +42,9 @@ struct Rig
               mem::MemoryMap(cfg.dataBytes).deviceBytes())),
           engine(core::makeEngine(p, cfg, *nvm))
     {
+        // Every engine test also checks the fetch fast path against
+        // the full MAC comparison it skips.
+        engine->setFetchCrossCheck(true);
     }
 
     mee::MeeConfig config;

@@ -111,6 +111,22 @@ TEST_P(EngineBasic, MetadataCacheEvictionsWriteBack)
     EXPECT_EQ(rig_.engine->violations(), 0ull);
 }
 
+TEST_P(EngineBasic, EngineOnWrittenDeviceVerifiesFirstFetch)
+{
+    // A device that already holds a metadata block the engine never
+    // persisted: its first fetch must take the full check and flag.
+    const mee::MeeConfig cfg = test::smallConfig(GetParam());
+    const mem::MemoryMap map(cfg.dataBytes);
+    mem::NvmDevice nvm(map.deviceBytes());
+    mem::Block planted{};
+    planted[9] = 0x42;
+    nvm.writeBlock(map.counterBase(), planted);
+    auto engine = core::makeEngine(mee::Protocol::Leaf, cfg, nvm);
+    engine->setFetchCrossCheck(true);
+    engine->read(0);
+    EXPECT_EQ(engine->violations(), 1ull);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BothPlanes, EngineBasic,
     ::testing::Values(crypto::CryptoPlane::Fast,

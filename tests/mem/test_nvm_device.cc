@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "fault/fault.hh"
 #include "mem/nvm_device.hh"
 
 namespace amnt::mem
@@ -105,6 +106,69 @@ TEST(NvmDevice, ForEachBlockInRange)
                        [&](Addr, const Block &) { ++in_range; });
     EXPECT_EQ(in_range, 1);
     EXPECT_EQ(nvm.blocksTouched(), 3ull);
+}
+
+TEST(NvmDevice, MutationsCountContentChangesOnly)
+{
+    NvmDevice nvm(1 << 20);
+    EXPECT_EQ(nvm.mutations(), 0ull);
+    Block b{};
+    b[1] = 0x11;
+    nvm.writeBlock(0x40, b);
+    EXPECT_EQ(nvm.mutations(), 1ull);
+    nvm.writeBlock(0x40, b); // same bytes again still counts
+    EXPECT_EQ(nvm.mutations(), 2ull);
+    EXPECT_TRUE(nvm.tamper(0x40, 1, 0x01));
+    EXPECT_EQ(nvm.mutations(), 3ull);
+    EXPECT_FALSE(nvm.tamper(0x400, 0, 0x80)); // never-written block
+    EXPECT_EQ(nvm.mutations(), 4ull);
+
+    // Traffic-only and read-only paths change no contents.
+    Block out;
+    nvm.touchWrite(0x80);
+    nvm.touchRead(0x80);
+    nvm.peek(0x40, out);
+    nvm.readBlock(0x40, out);
+    nvm.forEachBlockIn(0, 1 << 20, [](Addr, const Block &) {});
+    nvm.crash();
+    EXPECT_EQ(nvm.mutations(), 4ull);
+}
+
+TEST(NvmDevice, SuppressedWriteDoesNotMutate)
+{
+    NvmDevice nvm(1 << 20);
+    fault::FaultDomain domain;
+    nvm.setFaultDomain(&domain);
+    domain.arm(1);
+    Block b{};
+    b[0] = 0x5a;
+    nvm.writeBlock(0x40, b); // boundary 0 lands
+    EXPECT_EQ(nvm.mutations(), 1ull);
+    EXPECT_THROW(nvm.writeBlock(0x80, b), fault::CrashInjected);
+    EXPECT_EQ(nvm.mutations(), 1ull);
+    Block out;
+    nvm.peek(0x80, out);
+    EXPECT_EQ(out, Block{});
+}
+
+TEST(NvmDevice, RollbackCountsEachRestoredOrErasedBlock)
+{
+    NvmDevice nvm(1 << 20);
+    Block b{};
+    b[0] = 0x01;
+    nvm.writeBlock(0x40, b); // durable before the epoch
+    nvm.journalEnable();
+    nvm.journalClear();
+    b[0] = 0x02;
+    nvm.writeBlock(0x40, b); // restored by the rollback
+    nvm.writeBlock(0x40, b); // same block: one journal entry
+    nvm.writeBlock(0x80, b); // erased by the rollback
+    EXPECT_EQ(nvm.mutations(), 4ull);
+    EXPECT_EQ(nvm.journalRollback().size(), 2u);
+    EXPECT_EQ(nvm.mutations(), 6ull);
+    // An empty journal rolls nothing back and changes nothing.
+    EXPECT_TRUE(nvm.journalRollback().empty());
+    EXPECT_EQ(nvm.mutations(), 6ull);
 }
 
 } // namespace

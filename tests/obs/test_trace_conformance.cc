@@ -109,8 +109,9 @@ struct TraceCheck
             ASSERT_TRUE(ph == "i" || ph == "B" || ph == "E" ||
                         ph == "X")
                 << "unknown phase " << ph;
-            if (ph == "X")
+            if (ph == "X") {
                 ASSERT_TRUE(e.has("dur"));
+            }
 
             names.insert(e.at("name").text);
             const double tid = e.at("tid").number;
