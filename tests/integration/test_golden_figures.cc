@@ -262,6 +262,43 @@ TEST(GoldenFigures, Fig08PinnedConfigsMatchGolden)
     checkGolden("golden_fig08.json", text);
 }
 
+TEST(GoldenFigures, AblationMcachePinnedConfigsMatchGolden)
+{
+    // Pinned miniature of the metadata-cache size ablation: canneal
+    // (the cache-hostile workload the harness sweeps) scaled as in
+    // the fig04 pin, the metadata cache at 16, 64 and 256 kB, and
+    // the volatile baseline, Anubis and AMNT at each size. No other
+    // pin varies the metadata cache's set count. Persistence-model
+    // flushes keep dirty metadata and its write-backs inside the
+    // golden, as in the fig05 pin.
+    const std::uint64_t instr = 48000;
+    const std::uint64_t warmup = 16000;
+
+    sim::WorkloadConfig w = sim::parsecPreset("canneal");
+    w.footprintPages = std::max<std::uint64_t>(256, w.footprintPages / 16);
+    w.flushWriteFraction = 0.05;
+
+    std::vector<std::string> labels;
+    std::vector<sweep::Job> jobs;
+    for (std::uint64_t kb : {16, 64, 256}) {
+        for (mee::Protocol p : {mee::Protocol::Volatile,
+                                mee::Protocol::Anubis,
+                                mee::Protocol::Amnt}) {
+            sim::SystemConfig cfg = bench::paperSystem(p, 1);
+            cfg.mee.metaCache.sizeBytes = kb * 1024;
+            labels.push_back(std::to_string(kb) + "kB/" +
+                             mee::protocolName(p));
+            jobs.push_back(bench::makeJob(cfg, {w}, instr, warmup));
+        }
+    }
+
+    const std::vector<sweep::Outcome> outcomes = sweep::run(jobs);
+    std::string text;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        text += outcomeRow(labels[i], jobs[i], outcomes[i]) + "\n";
+    checkGolden("golden_ablation_mcache.json", text);
+}
+
 TEST(GoldenFigures, Table2PinnedConfigsMatchGolden)
 {
     // Pinned miniature of Table 2: one multiprogram pair under AMNT
