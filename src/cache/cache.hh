@@ -4,6 +4,13 @@
  * bits, used both for the on-chip data hierarchy and for the 64 kB
  * security-metadata cache.
  *
+ * Each set is one packed record: the 32-bit block numbers of its ways,
+ * a 64-bit recency word (a 4-bit way index per LRU position, least
+ * recent first) and valid and dirty bitmasks. An 8-way set fits one
+ * 64 B host line and a 16-way set two. A hit or a fill moves its way
+ * to the most recent position; the victim is the lowest invalid way,
+ * or else the way in the least recent position, which is exact LRU.
+ *
  * The model is tag-only: block contents travel through the engines
  * that own the cache, which keeps the same class usable by the
  * content-free timing plane and the functional plane. Eviction of a
@@ -44,7 +51,8 @@ struct AccessResult
 
 /**
  * Tag-array cache. Addresses are block aligned internally; any byte
- * address within a block refers to the same line.
+ * address within a block refers to the same line. At most 16 ways,
+ * and block numbers must fit in 32 bits (fatal otherwise).
  */
 class Cache
 {
@@ -77,6 +85,13 @@ class Cache
      */
     bool access(Addr addr, bool set_dirty);
 
+    /**
+     * Hit-only touch: on a hit, exactly access(); on a miss, change
+     * and count nothing. One probe where callers would otherwise ask
+     * contains() and then access().
+     */
+    bool touch(Addr addr, bool set_dirty);
+
     /** Non-mutating presence test. */
     bool contains(Addr addr) const;
 
@@ -90,6 +105,12 @@ class Cache
      */
     AccessResult insert(Addr addr, bool dirty);
 
+    /**
+     * access() and, on a miss, insert() in one probe: the result's
+     * hit flag says which happened, and a fill reports its victim.
+     */
+    AccessResult lookupOrFill(Addr addr, bool dirty);
+
     /** Clear the dirty bit of a resident line (write-through commit). */
     void clean(Addr addr);
 
@@ -100,13 +121,19 @@ class Cache
     void invalidateAll();
 
     /**
-     * Visit every valid line: visitor(addr, dirty). Iteration order is
-     * unspecified. Used by AMNT's subtree-movement dirty scan.
+     * Visit every valid line: visitor(addr, dirty). Lines are visited
+     * set by set in set-index order, and within a set in way-index
+     * order. AMNT's subtree-movement scan and Phoenix's shadow image
+     * feed this order into persisted state, so it is part of the
+     * contract.
      */
     void forEachLine(
         const std::function<void(Addr, bool)> &visitor) const;
 
-    /** Clear dirty bits that @p pred selects; returns count cleaned. */
+    /**
+     * Clear dirty bits that @p pred selects, visiting lines in
+     * forEachLine's order; returns count cleaned.
+     */
     std::uint64_t cleanIf(const std::function<bool(Addr)> &pred);
 
     /** Statistics: hits, misses, evictions, dirty evictions. */
@@ -123,22 +150,41 @@ class Cache
     }
 
   private:
-    struct Line
-    {
-        Addr tag = 0; ///< block-aligned address
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+    // Word offsets within a set record; tags start 16 B in, so the
+    // tag array of an 8-way set ends inside the record's host line.
+    static constexpr unsigned kOrderLo = 0; ///< recency word, low half
+    static constexpr unsigned kOrderHi = 1; ///< recency word, high half
+    static constexpr unsigned kMasks = 2;   ///< valid | dirty << 16
+    static constexpr unsigned kTags = 4;    ///< one block number per way
 
-    std::uint64_t setOf(Addr addr) const;
-    Line *find(Addr addr);
-    const Line *find(Addr addr) const;
+    static std::uint64_t
+    loadOrder(const std::uint32_t *set)
+    {
+        return std::uint64_t{set[kOrderLo]} |
+               std::uint64_t{set[kOrderHi]} << 32;
+    }
+
+    static void
+    storeOrder(std::uint32_t *set, std::uint64_t order)
+    {
+        set[kOrderLo] = static_cast<std::uint32_t>(order);
+        set[kOrderHi] = static_cast<std::uint32_t>(order >> 32);
+    }
+
+    std::uint32_t tagOf(Addr addr) const;
+    std::uint32_t *setOf(std::uint32_t tag) const;
+    std::uint32_t match(const std::uint32_t *set, std::uint32_t tag) const;
+    void hitWay(std::uint32_t *set, unsigned way, bool set_dirty);
+    AccessResult fill(std::uint32_t *set, std::uint32_t tag, bool dirty);
 
     CacheConfig config_;
     std::uint64_t numSets_;
-    std::vector<Line> lines_;
-    std::uint64_t useClock_ = 0;
+    unsigned strideShift_;   ///< log2 of the words per set record
+    std::uint32_t allWays_;  ///< one bit per way
+    std::uint64_t identity_; ///< recency word of a freshly filled set
+    unsigned mruShift_;      ///< bit offset of the most recent position
+    std::vector<std::uint32_t> storage_;
+    std::uint32_t *sets_; ///< first record, 64 B aligned in storage_
     std::uint64_t dirtyLines_ = 0;
     StatGroup stats_;
 

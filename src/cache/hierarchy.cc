@@ -9,7 +9,7 @@ namespace amnt::cache
 CacheHierarchy::CacheHierarchy(std::vector<Cache *> path,
                                MemReadFn mem_read, MemWriteFn mem_write)
     : path_(std::move(path)), memRead_(std::move(mem_read)),
-      memWrite_(std::move(mem_write))
+      memWrite_(std::move(mem_write)), fills_(path_.size())
 {
     if (path_.empty())
         panic("CacheHierarchy requires at least one level");
@@ -29,11 +29,9 @@ CacheHierarchy::installAt(std::size_t level, Addr addr, bool dirty)
         return 0;
     }
     Cache *c = path_[level];
-    if (c->contains(addr)) {
-        if (dirty)
-            c->access(addr, true);
+    // A resident block absorbs the victim; only a dirty one touches it.
+    if (dirty ? c->touch(addr, true) : c->contains(addr))
         return 0;
-    }
     const AccessResult res = c->insert(addr, dirty);
     if (res.evictedValid)
         return installAt(level + 1, res.evictedAddr, res.evictedDirty);
@@ -46,29 +44,29 @@ CacheHierarchy::access(Addr addr, AccessType type)
     const bool write = type == AccessType::Write;
     Cycle latency = 0;
 
+    // Each level that misses is filled as it is probed; its victim
+    // waits in fills_ until the levels below have been handled. No
+    // level's set changes between its probe and its fill in the
+    // access-then-insert order either, since victims only move down.
+    std::size_t hit_level = path_.size();
     for (std::size_t i = 0; i < path_.size(); ++i) {
         latency += path_[i]->hitLatency();
-        if (path_[i]->access(addr, write && i == 0)) {
-            // Hit at level i: fill the levels above it.
-            for (std::size_t j = i; j-- > 0;) {
-                const AccessResult res =
-                    path_[j]->insert(addr, write && j == 0);
-                if (res.evictedValid)
-                    latency += installAt(j + 1, res.evictedAddr,
-                                          res.evictedDirty);
-            }
-            return latency;
+        fills_[i] = path_[i]->lookupOrFill(addr, write && i == 0);
+        if (fills_[i].hit) {
+            hit_level = i;
+            break;
         }
     }
 
-    // Miss everywhere: fetch from the secure memory controller.
-    ++memReads_;
-    latency += memRead_(addr);
-    for (std::size_t j = path_.size(); j-- > 0;) {
-        const AccessResult res = path_[j]->insert(addr, write && j == 0);
-        if (res.evictedValid)
-            latency += installAt(j + 1, res.evictedAddr,
-                                 res.evictedDirty);
+    if (hit_level == path_.size()) {
+        // Miss everywhere: fetch from the secure memory controller.
+        ++memReads_;
+        latency += memRead_(addr);
+    }
+    for (std::size_t j = hit_level; j-- > 0;) {
+        if (fills_[j].evictedValid)
+            latency += installAt(j + 1, fills_[j].evictedAddr,
+                                 fills_[j].evictedDirty);
     }
     return latency;
 }

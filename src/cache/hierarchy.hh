@@ -82,6 +82,7 @@ class CacheHierarchy
     std::vector<Cache *> path_;
     MemReadFn memRead_;
     MemWriteFn memWrite_;
+    std::vector<AccessResult> fills_; ///< per-level outcome of access()
     std::uint64_t memReads_ = 0;
     std::uint64_t memWrites_ = 0;
 };

@@ -326,7 +326,10 @@ Cycle
 MemoryEngine::ensureResident(Addr maddr, unsigned &misses)
 {
     maddr = blockAddr(blockOf(maddr));
-    if (mcache_.access(maddr, false)) {
+    // One probe: a miss fills at once. The fetch reads only NVM, so
+    // the victim is still handled after it, as in access-then-insert.
+    const cache::AccessResult res = mcache_.lookupOrFill(maddr, false);
+    if (res.hit) {
         trace_.instant(obs::EventClass::McacheHit, maddr);
         return 0;
     }
@@ -334,7 +337,6 @@ MemoryEngine::ensureResident(Addr maddr, unsigned &misses)
     ++misses;
     ++*metaFetches_;
     fetchMetadata(maddr);
-    const cache::AccessResult res = mcache_.insert(maddr, false);
     handleEviction(res);
     return strategy_->onMetaInsert(maddr);
 }
@@ -354,10 +356,8 @@ MemoryEngine::ensureCounterChain(std::uint64_t counterIdx,
     bmt::NodeRef ref = map_.geometry().leafNodeOf(counterIdx);
     while (true) {
         const Addr naddr = map_.nodeAddrOf(ref);
-        if (mcache_.contains(naddr)) {
-            mcache_.access(naddr, false); // refresh LRU of the anchor
-            break;
-        }
+        if (mcache_.touch(naddr, false))
+            break; // cached anchor, its LRU position refreshed
         hook += ensureResident(naddr, misses);
         if (ref.level == 1)
             break; // anchored at the on-chip root register

@@ -129,5 +129,36 @@ TEST(Cache, FillsUseInvalidWaysFirst)
     EXPECT_TRUE(c.contains(4 * 64));
 }
 
+TEST(Cache, TouchCountsOnlyHits)
+{
+    Cache c(smallCache());
+    EXPECT_FALSE(c.touch(0, true)); // miss: nothing counted or filled
+    EXPECT_EQ(c.stats().get("misses"), 0ull);
+    EXPECT_FALSE(c.contains(0));
+    c.insert(0, false);
+    EXPECT_TRUE(c.touch(0, true));
+    EXPECT_TRUE(c.isDirty(0));
+    EXPECT_EQ(c.stats().get("hits"), 1ull);
+}
+
+TEST(Cache, RejectsMoreThanSixteenWays)
+{
+    // 17 ways do not fit the 4-bit way indices of the recency word.
+    CacheConfig cfg{"bad", 17 * 4 * 64, 17, 1};
+    EXPECT_DEATH({ Cache c(cfg); }, "more than 16");
+}
+
+TEST(Cache, RejectsBlockNumbersPastThirtyTwoBits)
+{
+    Cache c(smallCache());
+    const Addr last = blockAddr((BlockId{1} << 32) - 1);
+    c.insert(last, false);
+    EXPECT_TRUE(c.contains(last));
+    EXPECT_EXIT(c.insert(last + kBlockSize, false),
+                ::testing::ExitedWithCode(1), "beyond 32-bit");
+    EXPECT_EXIT(c.access(last + kBlockSize, false),
+                ::testing::ExitedWithCode(1), "beyond 32-bit");
+}
+
 } // namespace
 } // namespace amnt::cache
