@@ -73,4 +73,67 @@ ThreadPool::wait()
     allDone_.wait(lock, [this] { return pending_ == 0; });
 }
 
+namespace
+{
+
+/** Slots in use across the process (HostBudget::inUse). */
+std::atomic<unsigned> budgetInUse{0};
+
+/** The calling thread is a counted sweep worker. */
+thread_local bool budgetCounted = false;
+
+} // namespace
+
+HostBudget::Worker::Worker() : outer_(budgetCounted)
+{
+    budgetCounted = true;
+}
+
+HostBudget::Worker::~Worker()
+{
+    budgetCounted = outer_;
+}
+
+HostBudget::Workers::Workers(unsigned n) : held_(n)
+{
+    budgetInUse.fetch_add(n);
+}
+
+HostBudget::Workers::~Workers()
+{
+    budgetInUse.fetch_sub(held_.load());
+}
+
+void
+HostBudget::Workers::release()
+{
+    held_.fetch_sub(1);
+    budgetInUse.fetch_sub(1);
+}
+
+unsigned
+HostBudget::grantHelper()
+{
+    const unsigned need = budgetCounted ? 1 : 2;
+    static const unsigned cap = ThreadPool::hardwareThreads();
+    unsigned used = budgetInUse.load();
+    do {
+        if (used + need > cap)
+            return 0;
+    } while (!budgetInUse.compare_exchange_weak(used, used + need));
+    return need;
+}
+
+void
+HostBudget::releaseHelper(unsigned slots)
+{
+    budgetInUse.fetch_sub(slots);
+}
+
+unsigned
+HostBudget::inUse()
+{
+    return budgetInUse.load();
+}
+
 } // namespace amnt

@@ -14,6 +14,7 @@
 #ifndef AMNT_COMMON_THREAD_POOL_HH
 #define AMNT_COMMON_THREAD_POOL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -66,6 +67,67 @@ class ThreadPool
     std::size_t pending_ = 0; ///< queued + running
     bool stop_ = false;
     std::vector<std::thread> workers_;
+};
+
+/**
+ * Process-wide budget of busy host threads: sweep workers
+ * (sweep::parallelFor) plus the memory-side helper threads that
+ * sim::System starts (sim/memory_pipe.hh). Workers are counted
+ * unconditionally; a helper is granted only while the total stays at
+ * or below ThreadPool::hardwareThreads(). A full-width sweep therefore
+ * runs without helpers, and a narrow one lends its idle cores to them.
+ */
+class HostBudget
+{
+  public:
+    /** Marks the calling thread as a counted sweep worker. */
+    class Worker
+    {
+      public:
+        Worker();
+        ~Worker();
+        Worker(const Worker &) = delete;
+        Worker &operator=(const Worker &) = delete;
+
+      private:
+        bool outer_;
+    };
+
+    /**
+     * Counts @p n sweep workers from construction to destruction
+     * (release() returns some early) and marks the calling thread as
+     * one of them.
+     */
+    class Workers
+    {
+      public:
+        explicit Workers(unsigned n);
+        ~Workers();
+        Workers(const Workers &) = delete;
+        Workers &operator=(const Workers &) = delete;
+
+        /** Return one worker's slot early (it has no task left). */
+        void release();
+
+      private:
+        std::atomic<unsigned> held_;
+        Worker mark_;
+    };
+
+    /**
+     * Grant the calling thread one helper thread if the budget allows.
+     * Returns the slots taken, to hand back to releaseHelper(): 1 when
+     * the caller is a counted sweep worker, 2 for any other thread
+     * (counted together with its helper), 0 when the grant would take
+     * the total past ThreadPool::hardwareThreads().
+     */
+    static unsigned grantHelper();
+
+    /** Return the @p slots a grantHelper() call took. */
+    static void releaseHelper(unsigned slots);
+
+    /** Slots in use: workers, helpers and the helpers' callers. */
+    static unsigned inUse();
 };
 
 } // namespace amnt

@@ -1,5 +1,6 @@
 #include "sim/sweep.hh"
 
+#include <atomic>
 #include <chrono>
 
 #include "common/env.hh"
@@ -56,15 +57,29 @@ parallelFor(std::size_t n,
     if (threads == 0)
         threads = threadCount();
     if (threads <= 1 || n <= 1) {
+        // An inline sweep counts its calling thread as its one worker.
+        HostBudget::Workers workers(1);
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
     if (static_cast<std::size_t>(threads) > n)
         threads = static_cast<unsigned>(n);
+    // A worker's slot goes back to the budget once no task is left
+    // for it, so the sweep's tail lends idle cores to memory helpers.
+    HostBudget::Workers workers(threads);
+    std::atomic<std::size_t> left{n};
     ThreadPool pool(threads);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
+    for (std::size_t i = 0; i < n; ++i) {
+        pool.submit([&, i] {
+            {
+                HostBudget::Worker self;
+                fn(i);
+            }
+            if (left.fetch_sub(1) <= threads)
+                workers.release();
+        });
+    }
     pool.wait();
 }
 

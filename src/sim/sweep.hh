@@ -85,6 +85,10 @@ std::vector<Outcome> run(const std::vector<Job> &jobs,
  * Run @p fn(0..n-1) on the pool; same determinism contract as run()
  * provided each index works on its own state. Used by harness phases
  * that need more than a RunResult (e.g. functional recovery).
+ *
+ * The workers count against the process-wide HostBudget
+ * (common/thread_pool.hh); an inline run counts its calling thread.
+ * A worker's slot returns to the budget once no task is left for it.
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &fn,

@@ -102,6 +102,9 @@ System::System(const SystemConfig &config) : config_(config)
             std::make_unique<core::FlatMemory>(config.protocol, config.mee);
     }
 
+    pipe_ = std::make_unique<MemoryPipe>(*memory_, config.cores,
+                                         config.mee.dataBytes);
+
     const std::uint64_t frames = config.mee.dataBytes / kPageSize;
     // AMNT regions live inside each slice's tree (smaller when
     // sharded), so the allocator's region granule comes from slice
@@ -151,20 +154,25 @@ System::amnt()
 Cycle
 System::memRead(Addr a, unsigned core)
 {
-    return memory_->read(a, nullptr, core);
+    pipe_->read(a, core);
+    return 0;
 }
 
 Cycle
 System::memWrite(Addr a, unsigned core)
 {
-    return memory_->write(a, nullptr, core);
+    pipe_->write(a, core);
+    return 0;
 }
 
 void
 System::syncShards()
 {
-    memory_->flush();
+    // Latencies only ever add into the cores' cycles, and nothing reads
+    // those before this boundary: summing them here is exact.
     std::vector<Cycle> lat(cores_.size(), 0);
+    pipe_->drain(lat);
+    memory_->flush();
     memory_->harvestLatencies(lat);
     for (std::size_t i = 0; i < cores_.size(); ++i)
         cores_[i].cycles += lat[i];
@@ -275,8 +283,9 @@ System::step(Core &c, unsigned idx)
     c.cycles += c.hierarchy->access(paddr, ref.type);
     if (ref.flush) {
         // Persistence-model flush: the dirty line is written through
-        // to the secure memory controller on the critical path.
-        c.cycles += memWrite(paddr, idx);
+        // to the secure memory controller on the critical path; its
+        // latency reaches this core at the next syncShards().
+        memWrite(paddr, idx);
     }
     chargeOs(c);
 }

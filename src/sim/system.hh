@@ -5,7 +5,10 @@
  *
  * Each core runs one process (workload + private page table) through
  * private cache levels into an optional shared LLC; misses and dirty
- * write-backs reach the one secure-memory unit, flat or sharded.
+ * write-backs reach the one secure-memory unit, flat or sharded,
+ * through a MemoryPipe (sim/memory_pipe.hh) that may apply them on a
+ * memory-side helper thread. Their latencies reach the cores' cycle
+ * counts at each measurement boundary.
  * Cores advance in round-robin lockstep; the run's cycle count is the
  * slowest core's, matching the multiprogram methodology of the paper
  * (both regions of interest measured in parallel).
@@ -26,6 +29,7 @@
 #include "os/amntpp_allocator.hh"
 #include "os/page_table.hh"
 #include "shard/sharded_engine.hh"
+#include "sim/memory_pipe.hh"
 #include "sim/traceio/writer.hh"
 #include "sim/workload.hh"
 
@@ -167,6 +171,13 @@ class System
     /** One sorted JSON document of every registered statistic. */
     std::string statsJson() const { return registry_.dumpJson(); }
 
+    /**
+     * The queue between the caches and the secure memory. Tests use
+     * it to force the memory-side helper on or off
+     * (MemoryPipe::setHelper); results are the same either way.
+     */
+    MemoryPipe &memoryPipe() { return *pipe_; }
+
   private:
     struct Core
     {
@@ -188,15 +199,19 @@ class System
     /** Advance one instruction on core @p c (index @p idx). */
     void step(Core &c, unsigned idx);
 
-    /** Route one memory read/write to the secure memory. */
+    /**
+     * Queue one LLC miss or write-back for the secure memory. Its
+     * latency reaches the core at the next syncShards(), so the
+     * hierarchy is charged 0 now.
+     */
     Cycle memRead(Addr a, unsigned core);
     Cycle memWrite(Addr a, unsigned core);
 
     /**
-     * Drain + commit everything the memory buffers and fold the
-     * accrued per-core drain latencies into the cores' cycle counts.
-     * Called at every measurement boundary so snapshots observe a
-     * fully-settled machine. No-op for a flat memory.
+     * Apply every queued memory op, drain + commit everything the
+     * memory buffers, and fold the accrued per-core latencies into the
+     * cores' cycle counts. Called at every measurement boundary so
+     * snapshots observe a fully-settled machine.
      */
     void syncShards();
 
@@ -227,6 +242,7 @@ class System
     SystemConfig config_;
     obs::StatRegistry registry_;
     std::unique_ptr<mee::SecureMemory> memory_;
+    std::unique_ptr<MemoryPipe> pipe_; ///< the only user of memory_ in run()
     std::unique_ptr<os::BuddyAllocator> allocator_;
     std::unique_ptr<cache::Cache> llc_;
     std::vector<Core> cores_;

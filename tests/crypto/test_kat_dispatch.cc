@@ -98,8 +98,9 @@ TEST(KatDispatch, SelectRefusesUnavailable)
 {
     IsaGuard guard;
     for (auto isa : {dispatch::Isa::AesNi, dispatch::Isa::ShaNi}) {
-        if (!dispatch::available(isa))
+        if (!dispatch::available(isa)) {
             EXPECT_FALSE(dispatch::select(isa));
+        }
     }
 }
 

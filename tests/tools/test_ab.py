@@ -79,6 +79,23 @@ class MetricOf(unittest.TestCase):
         with self.assertRaises(ValueError):
             ab.metric_of('{"metrics": 1}', "metrics.wall_s")
 
+    def test_all_metrics(self):
+        out = ('log\n{"correct": true, "metrics": {"wall_s": {"value": 2, '
+               '"unit": "s"}, "sim_cpi": {"value": 1.5, "unit": "c"}}}')
+        self.assertEqual(ab.all_metrics_of(out),
+                         {"wall_s": 2.0, "sim_cpi": 1.5})
+        with self.assertRaises(ValueError):
+            ab.all_metrics_of('{"metrics": {}}')
+        with self.assertRaises(ValueError):
+            ab.all_metrics_of('{"wall_s": 1}')
+
+    def test_measure_picks_the_mode(self):
+        out = '{"a": 1, "b": 2, "metrics": {"c": {"value": 3}}}'
+        self.assertEqual(ab.measure(out, 9.0, [], False), {"s": 9.0})
+        self.assertEqual(ab.measure(out, 9.0, ["b", "a"], False),
+                         {"b": 2.0, "a": 1.0})
+        self.assertEqual(ab.measure(out, 9.0, [], True), {"c": 3.0})
+
 
 class PairLoop(unittest.TestCase):
     def test_alternates_and_reports(self):
@@ -106,6 +123,46 @@ class PairLoop(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("change better in 2 of 2 pairs", proc.stdout)
         self.assertIn("ratio   change/parent median 0.750", proc.stdout)
+
+    def test_every_metric_from_one_set_of_pairs(self):
+        # Each side prints two metrics; the change is faster (lower s)
+        # and has higher throughput (higher rate, which --higher marks).
+        def side(s, rate):
+            doc = ('{"metrics": {"s": {"value": %s}, '
+                   '"rate": {"value": %s}}}' % (s, rate))
+            return shlex.join([sys.executable, "-c", f"print('{doc}')"])
+        proc = subprocess.run(
+            [sys.executable, os.path.join(TOOLS, "ab.py"), "-n", "2",
+             "--all-metrics", "--higher", "rate", side(4, 10),
+             side(3, 12), "--"],
+            capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("pair 2: s parent 4 change 3; rate parent 10 "
+                      "change 12", proc.stdout)
+        self.assertIn("metric  s (lower is better)", proc.stdout)
+        self.assertIn("metric  rate (higher is better)", proc.stdout)
+        self.assertEqual(proc.stdout.count("change better in 2 of 2 pairs"),
+                         2)
+        self.assertIn("ratio   change/parent median 1.200", proc.stdout)
+
+    def test_repeated_metric(self):
+        script = 'print(\'{"x": 2, "y": {"z": 5}}\')'
+        proc = subprocess.run(
+            [sys.executable, os.path.join(TOOLS, "ab.py"), "-n", "1",
+             "--metric", "x", "--metric", "y.z", sys.executable,
+             sys.executable, "--", "-c", script],
+            capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("pair 1: x parent 2 change 2; y.z parent 5 change 5",
+                      proc.stdout)
+        self.assertIn("metric  y.z (lower is better)", proc.stdout)
+
+    def test_metric_and_all_metrics_exclude_each_other(self):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(TOOLS, "ab.py"), "--metric", "x",
+             "--all-metrics", sys.executable, sys.executable, "--"],
+            capture_output=True, text=True)
+        self.assertNotEqual(proc.returncode, 0)
 
     def test_failing_run_stops(self):
         proc = subprocess.run(

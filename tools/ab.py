@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Interleaved A/B timing of two builds of one command.
 
-    tools/ab.py [-n PAIRS] [--metric KEY] [--higher-is-better] \\
+    tools/ab.py [-n PAIRS] [--metric KEY]... [--all-metrics] \\
+        [--higher-is-better] [--higher KEY]... \\
         PARENT_BIN CHANGE_BIN -- ARGS...
 
 Runs `PARENT_BIN ARGS...` and `CHANGE_BIN ARGS...` PAIRS times each,
@@ -13,11 +14,19 @@ its own wall clock, or, with --metric KEY, by the number at KEY in the
 JSON object the command prints (the whole of stdout, or else its last
 line). KEY is a field name or a dotted path: `--metric wall_s` with
 `perfbench e2e`, `--metric metrics.wall_s.value` with
-`perfbench/run.py`. A run that exits non-zero stops the comparison.
+`perfbench/run.py`. --metric may be given more than once, and
+--all-metrics takes every `metrics.<name>.value` the run prints (the
+shape `perfbench/run.py` prints), so one set of pairs measures every
+end-to-end metric at once. A run that exits non-zero stops the
+comparison.
 
-Prints each side's median and quartiles, the ratio of the change's
-median to the parent's, the number of pairs the change won, and
-whether the gap between the medians exceeds the parent's
+Lower is better unless --higher-is-better (every metric) or
+--higher KEY (that metric; KEY as given to --metric, or the <name> of
+--all-metrics) says otherwise.
+
+Prints, per metric, each side's median and quartiles, the ratio of the
+change's median to the parent's, the number of pairs the change won,
+and whether the gap between the medians exceeds the parent's
 interquartile range.
 """
 
@@ -60,14 +69,18 @@ def summarize(parent, change, lower_is_better=True):
     }
 
 
-def metric_of(stdout, key):
-    """Number at dotted path @p key in the JSON object a run printed."""
+def parse_output(stdout):
+    """The JSON object a run printed: all of stdout, or its last line."""
     text = stdout.strip()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError:
         lines = text.splitlines()
-        doc = json.loads(lines[-1]) if lines else {}
+        return json.loads(lines[-1]) if lines else {}
+
+
+def lookup(doc, key):
+    """Number at dotted path @p key in @p doc."""
     for part in key.split("."):
         if not isinstance(doc, dict) or part not in doc:
             raise ValueError(f"run printed no '{key}'")
@@ -75,7 +88,32 @@ def metric_of(stdout, key):
     return float(doc)
 
 
-def run_once(binary, args, metric):
+def metric_of(stdout, key):
+    """Number at dotted path @p key in the JSON object a run printed."""
+    return lookup(parse_output(stdout), key)
+
+
+def all_metrics_of(stdout):
+    """{name: value} for every `metrics.<name>.value` a run printed."""
+    metrics = parse_output(stdout).get("metrics")
+    found = {name: float(m["value"]) for name, m in metrics.items()
+             if isinstance(m, dict) and "value" in m} \
+        if isinstance(metrics, dict) else {}
+    if not found:
+        raise ValueError("run printed no metrics.<name>.value")
+    return found
+
+
+def measure(stdout, wall, keys, every):
+    """{name: value} of one run: its metrics, else its wall clock."""
+    if every:
+        return all_metrics_of(stdout)
+    if keys:
+        return {k: metric_of(stdout, k) for k in keys}
+    return {"s": wall}
+
+
+def run_once(binary, args, keys=(), every=False):
     t0 = time.monotonic()
     proc = subprocess.run([*shlex.split(binary), *args],
                           stdout=subprocess.PIPE,
@@ -84,7 +122,7 @@ def run_once(binary, args, metric):
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-2000:])
         raise RuntimeError(f"{binary} exited with {proc.returncode}")
-    return metric_of(proc.stdout, metric) if metric else wall
+    return measure(proc.stdout, wall, keys, every)
 
 
 def report(s, unit):
@@ -109,12 +147,20 @@ def parse_args(argv):
     p.add_argument("parent")
     p.add_argument("change")
     p.add_argument("-n", "--pairs", type=int, default=10)
-    p.add_argument("--metric", help="JSON field to compare "
+    p.add_argument("--metric", action="append", default=[],
+                   help="JSON field to compare; repeatable "
                    "(default: the run's wall-clock seconds)")
-    p.add_argument("--higher-is-better", action="store_true")
+    p.add_argument("--all-metrics", action="store_true",
+                   help="compare every metrics.<name>.value")
+    p.add_argument("--higher-is-better", action="store_true",
+                   help="higher is better for every metric")
+    p.add_argument("--higher", action="append", default=[],
+                   metavar="KEY", help="higher is better for KEY")
     args = p.parse_args(argv[:cut])
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    if args.metric and args.all_metrics:
+        p.error("--metric and --all-metrics exclude each other")
     args.command = argv[cut + 1:]
     return args
 
@@ -127,15 +173,30 @@ def main(argv):
         for side in order:
             try:
                 runs[side].append(run_once(getattr(args, side),
-                                           args.command, args.metric))
+                                           args.command, args.metric,
+                                           args.all_metrics))
             except (OSError, RuntimeError, ValueError) as e:
                 sys.stderr.write(f"ab.py: {side} run {i + 1}: {e}\n")
                 return 1
-        print(f"pair {i + 1}: parent {runs['parent'][-1]:.4g} "
-              f"change {runs['change'][-1]:.4g}", flush=True)
-    s = summarize(runs["parent"], runs["change"],
-                  lower_is_better=not args.higher_is_better)
-    print(report(s, args.metric or "s"))
+        names = list(runs["parent"][0])
+        if any(list(r) != names for r in runs["parent"] + runs["change"]):
+            sys.stderr.write(f"ab.py: pair {i + 1}: the runs printed "
+                             "different metrics\n")
+            return 1
+        cells = [f"parent {runs['parent'][-1][k]:.4g} "
+                 f"change {runs['change'][-1][k]:.4g}" for k in names]
+        if len(names) > 1:
+            cells = [f"{k} {c}" for k, c in zip(names, cells)]
+        print(f"pair {i + 1}: " + "; ".join(cells), flush=True)
+    for k in names:
+        higher = args.higher_is_better or k in args.higher
+        s = summarize([r[k] for r in runs["parent"]],
+                      [r[k] for r in runs["change"]],
+                      lower_is_better=not higher)
+        if len(names) > 1:
+            print(f"metric  {k} ({'higher' if higher else 'lower'} "
+                  "is better)")
+        print(report(s, k))
     return 0
 
 
