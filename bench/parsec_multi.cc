@@ -131,6 +131,15 @@ printFig05(const Sweep &s, const Pairs &pairs, JsonSink &json)
                 "other pairs are not memory intensive\n");
 }
 
+/** Row label of a subtree level ("L3"). */
+std::string
+levelLabel(unsigned level)
+{
+    std::string label = "L";
+    label += std::to_string(level);
+    return label;
+}
+
 void
 printFig06(const Sweep &s, const Pairs &pairs, JsonSink &json)
 {
@@ -142,7 +151,7 @@ printFig06(const Sweep &s, const Pairs &pairs, JsonSink &json)
         TextTable table;
         table.header({"subtree level", "amnt", "amnt++", "coverage"});
         for (unsigned level = kLoLevel; level <= kHiLevel; ++level) {
-            std::vector<std::string> row = {"L" + std::to_string(level)};
+            std::vector<std::string> row = {levelLabel(level)};
             for (bool pp : {false, true}) {
                 const std::size_t idx = s.amntIdx(pair, level, pp);
                 const double norm = s.norm(pair, idx);
@@ -191,7 +200,7 @@ printFig07(const Sweep &s, const Pairs &pairs, JsonSink &json)
                     : 1000.0 *
                           static_cast<double>(r.subtreeMovements) /
                           static_cast<double>(r.memWrites);
-            table.row({"L" + std::to_string(level),
+            table.row({levelLabel(level),
                        TextTable::pct(r.subtreeHitRate, 1),
                        TextTable::pct(rpp.subtreeHitRate, 1),
                        TextTable::num(moves_per_k, 2)});

@@ -83,9 +83,20 @@ MemoryEngine::MemoryEngine(const MeeConfig &config, mem::NvmDevice &nvm,
     metaWritebacks_ = &stats_.counter("meta_writebacks");
     persistWrites_ = &stats_.counter("persist_writes");
     strategy_->attach(*this);
+    // Defer the fetch check and the persist MACs while every byte on
+    // the device is this engine's own. A device written before, or
+    // one another engine already defers on, keeps this engine eager;
+    // its writes are foreign to that other engine, which then ends
+    // its deferral.
+    macsDeferred_ = nvm.mutations() == 0 &&
+                    nvm.attachDeferringWriter(*this);
 }
 
-MemoryEngine::~MemoryEngine() = default;
+MemoryEngine::~MemoryEngine()
+{
+    if (macsDeferred_)
+        nvm_->detachDeferringWriter(*this);
+}
 
 Protocol
 MemoryEngine::protocol() const
@@ -156,10 +167,13 @@ MemoryEngine::persistBytes(Addr maddr, const mem::Block &bytes)
 {
     trace_.instant(obs::EventClass::Persist, maddr);
     writeNvm(maddr, bytes);
+    FlatMap<Addr, std::uint64_t> *table = macTable();
+    if (table == nullptr)
+        return;
     if (blockIsZero(bytes))
-        persistedMac_.erase(maddr);
+        table->erase(maddr);
     else
-        persistedMac_[maddr] =
+        (*table)[maddr] =
             crypto_.hash->mac64(bytes.data(), bytes.size(), maddr);
 }
 
@@ -176,6 +190,15 @@ MemoryEngine::persistBytesMany(const Addr *addrs,
                                const mem::Block *const *blocks,
                                std::size_t n)
 {
+    FlatMap<Addr, std::uint64_t> *table = macTable();
+    if (table == nullptr) {
+        for (std::size_t k = 0; k < n; ++k) {
+            if (trace_.on())
+                trace_.instant(obs::EventClass::Persist, addrs[k]);
+            writeNvm(addrs[k], *blocks[k]);
+        }
+        return;
+    }
     while (n > 0) {
         const std::size_t chunk = std::min(n, kPersistBatch);
         crypto::MacRequest reqs[kPersistBatch];
@@ -208,9 +231,9 @@ MemoryEngine::persistBytesMany(const Addr *addrs,
                 trace_.instant(obs::EventClass::Persist, addrs[k]);
             writeNvm(addrs[k], *blocks[k]);
             if (blockIsZero(*blocks[k])) {
-                persistedMac_.erase(addrs[k]);
+                table->erase(addrs[k]);
             } else {
-                persistedMac_[addrs[k]] = macs[j];
+                (*table)[addrs[k]] = macs[j];
                 ++j;
             }
         }
@@ -223,18 +246,69 @@ MemoryEngine::persistBytesMany(const Addr *addrs,
 void
 MemoryEngine::writeNvm(Addr addr, const mem::Block &bytes)
 {
-    nvm_->writeBlock(addr, bytes);
-    // Counted only once the write landed: a crash-suppressed write
-    // throws out of writeBlock and changes neither side's count.
-    ++ownMutations_;
+    nvm_->writeBlockAs(this, addr, bytes);
+}
+
+void
+MemoryEngine::macDeviceMetadata(FlatMap<Addr, std::uint64_t> &table)
+{
+    std::vector<crypto::MacRequest> reqs;
+    nvm_->forEachBlockIn(
+        map_.counterBase(), map_.deviceBytes(),
+        [&reqs](Addr a, const mem::Block &b) {
+            if (!blockIsZero(b))
+                reqs.push_back({b.data(), b.size(), a});
+        });
+    std::vector<std::uint64_t> macs(reqs.size());
+    crypto_.hash->mac64xN(reqs.data(), reqs.size(), macs.data());
+    trace_.instant(obs::EventClass::CryptoBatch, reqs.size());
+    table.clear();
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        table[reqs[i].tweak] = macs[i];
+}
+
+void
+MemoryEngine::beforeForeignChange()
+{
+    // The device still holds exactly the bytes this engine persisted,
+    // and eager persists record the MAC of those bytes (no entry for
+    // an all-zero block): MACing the metadata region reproduces the
+    // eager table.
+    macsDeferred_ = false;
+    macDeviceMetadata(persistedMac_);
+    if (!fetchCrossCheck_)
+        return;
+    bool same = persistedMac_.size() == shadowMac_.size();
+    for (auto it = persistedMac_.begin(); same && it != persistedMac_.end();
+         ++it) {
+        auto s = shadowMac_.find(it->first);
+        same = s != shadowMac_.end() && s->second == it->second;
+    }
+    if (!same)
+        panic("deferred persisted-MAC table differs from its eager "
+              "shadow (%zu vs %zu entries)",
+              persistedMac_.size(), shadowMac_.size());
+    shadowMac_ = {};
+}
+
+void
+MemoryEngine::setFetchCrossCheck(bool on)
+{
+    fetchCrossCheck_ = on;
+    // While deferred, every byte on the device is this engine's own,
+    // so the shadow starts from what the device holds.
+    if (on && macsDeferred_)
+        macDeviceMetadata(shadowMac_);
+    else
+        shadowMac_ = {};
 }
 
 bool
-MemoryEngine::matchesPersisted(Addr maddr, const mem::Block &bytes) const
+MemoryEngine::matchesPersisted(const FlatMap<Addr, std::uint64_t> &table,
+                               Addr maddr, const mem::Block &bytes) const
 {
-    auto it = persistedMac_.find(maddr);
-    const std::uint64_t expect =
-        it == persistedMac_.end() ? 0 : it->second;
+    auto it = table.find(maddr);
+    const std::uint64_t expect = it == table.end() ? 0 : it->second;
     const std::uint64_t got =
         blockIsZero(bytes)
             ? 0
@@ -245,18 +319,17 @@ MemoryEngine::matchesPersisted(Addr maddr, const mem::Block &bytes) const
 void
 MemoryEngine::fetchMetadata(Addr maddr)
 {
-    if (nvm_->mutations() == ownMutations_) {
+    if (macsDeferred_) {
         // Every byte on the device came from one of this engine's
-        // writes, and each write recorded its persistedMac_ entry
-        // right after it landed, with no persist point in between.
-        // The fetched bytes therefore match: count the read and skip
-        // the copy and the MAC. A tamper, a rollback or an outside
-        // write makes the counts differ for good.
+        // writes, so the fetched bytes are the ones it last persisted
+        // here: count the read and skip the copy and the MAC. A
+        // tamper, a rollback or an outside write ends the deferral
+        // for good.
         nvm_->touchRead(maddr);
         if (fetchCrossCheck_) {
             mem::Block bytes;
             nvm_->peek(maddr, bytes);
-            if (!matchesPersisted(maddr, bytes))
+            if (!matchesPersisted(shadowMac_, maddr, bytes))
                 panic("fetch fast path skipped a mismatch at %llx",
                       static_cast<unsigned long long>(maddr));
         }
@@ -270,7 +343,7 @@ MemoryEngine::fetchMetadata(Addr maddr)
     // the recovery root comparison against the NV root register.
     mem::Block bytes;
     nvm_->readBlock(maddr, bytes);
-    if (!matchesPersisted(maddr, bytes)) {
+    if (!matchesPersisted(persistedMac_, maddr, bytes)) {
         switch (map_.classify(maddr)) {
           case mem::Region::Counter:
             flagViolation("counter", maddr);

@@ -157,8 +157,13 @@ struct WriteContext
  * the metadata cache/NVM plumbing shared by every protocol. The
  * protocol-specific decisions are delegated to the owned
  * ProtocolStrategy (mee/protocol.hh).
+ *
+ * An engine built on a device nobody has written attaches as the
+ * device's deferring writer and records no persisted MACs until the
+ * device reports a change it did not make (DESIGN.md §8). The device
+ * must outlive the engine.
  */
-class MemoryEngine
+class MemoryEngine : private mem::DeferringWriter
 {
   public:
     /**
@@ -268,13 +273,25 @@ class MemoryEngine
     std::vector<Addr> staleMetadataBlocks() const;
 
     /**
-     * Test-only reference check of the fetch fast path: while on,
-     * every metadata fetch that skips the NVM copy and MAC (see
-     * fetchMetadata) also peeks the device bytes, MACs them and
-     * panics if the skipped check would have flagged them. Traffic
-     * and statistics are unchanged. Off by default.
+     * Test-only reference check of the deferred MACs and the fetch
+     * fast path. While on, the engine keeps an eager shadow of the
+     * persisted-MAC table as long as it defers; every metadata fetch
+     * that skips the NVM copy and MAC (see fetchMetadata) also peeks
+     * the device bytes and checks them against the shadow, and the
+     * table built when the deferral ends must equal it. A mismatch
+     * panics. Traffic and statistics are unchanged. Off by default.
      */
-    void setFetchCrossCheck(bool on) { fetchCrossCheck_ = on; }
+    void setFetchCrossCheck(bool on);
+
+    /** Whether persist MACs are still deferred (see class comment). */
+    bool persistMacsDeferred() const { return macsDeferred_; }
+
+    /** Persisted-MAC table (tests); empty while MACs are deferred. */
+    const FlatMap<Addr, std::uint64_t> &
+    persistedMacs() const
+    {
+        return persistedMac_;
+    }
 
   protected:
     /**
@@ -309,13 +326,17 @@ class MemoryEngine
      */
     void writeThroughMany(const Addr *addrs, std::size_t n);
 
-    /** Write metadata bytes to NVM and record their persisted MAC. */
+    /**
+     * Write metadata bytes to NVM and record their persisted MAC,
+     * unless the MACs are deferred.
+     */
     void persistBytes(Addr maddr, const mem::Block &bytes);
 
     /**
      * Batch persistBytes: addrs[i] receives *blocks[i]. The persisted
-     * MACs are computed with one batched burst per chunk; used by the
-     * bulk restore paths (recovery rebuild, Anubis shadow restore).
+     * MACs, when recorded, are computed with one batched burst per
+     * chunk; used by write-through chains and the bulk restore paths
+     * (recovery rebuild, Anubis shadow restore).
      */
     void persistBytesMany(const Addr *addrs,
                           const mem::Block *const *blocks,
@@ -441,7 +462,9 @@ class MemoryEngine
      * blocks are verified against this (any physical tampering of
      * NVM contents diverges from it). Lives conceptually in the
      * integrity machinery, not in NVM, and survives crashes because
-     * it describes persistent state.
+     * it describes persistent state. Empty while the MACs are
+     * deferred: it is built from the device the moment the deferral
+     * ends (beforeForeignChange).
      */
     FlatMap<Addr, std::uint64_t> persistedMac_;
 
@@ -481,31 +504,60 @@ class MemoryEngine
     std::uint64_t *metaWritebacks_;
     std::uint64_t *persistWrites_;
 
-    /**
-     * Device mutations this engine made. While it equals
-     * nvm_->mutations(), every byte on the device came from a write
-     * of this engine; it starts at zero, so an engine built on a
-     * device written before never sees the two match.
-     */
-    std::uint64_t ownMutations_ = 0;
-
     /** See setFetchCrossCheck. */
     bool fetchCrossCheck_ = false;
+
+    /**
+     * True while this engine is its device's deferring writer: every
+     * byte on the device is its own, so fetches skip their check and
+     * persists record no MAC.
+     */
+    bool macsDeferred_ = false;
+
+    /** Eager persisted-MAC table kept by the cross-check while deferred. */
+    FlatMap<Addr, std::uint64_t> shadowMac_;
+
+    /**
+     * End the deferral: build persistedMac_ from the device, which
+     * still holds only this engine's writes, and record eagerly from
+     * then on.
+     */
+    void beforeForeignChange() override;
+
+    /**
+     * Fill @p table with the MAC of every non-zero metadata block on
+     * the device, exactly what eager persists would have recorded.
+     */
+    void macDeviceMetadata(FlatMap<Addr, std::uint64_t> &table);
+
+    /**
+     * The table persists record into: persistedMac_ when eager, the
+     * cross-check's shadow while deferred, nullptr when nothing is
+     * recorded.
+     */
+    FlatMap<Addr, std::uint64_t> *
+    macTable()
+    {
+        if (!macsDeferred_)
+            return &persistedMac_;
+        return fetchCrossCheck_ ? &shadowMac_ : nullptr;
+    }
 
     /** Handle a (possibly dirty) eviction returned by the cache. */
     void handleEviction(const cache::AccessResult &res);
 
-    /** Whether @p bytes MAC to what was last persisted at @p maddr. */
-    bool matchesPersisted(Addr maddr, const mem::Block &bytes) const;
+    /** Whether @p bytes MAC to what @p table holds for @p maddr. */
+    bool matchesPersisted(const FlatMap<Addr, std::uint64_t> &table,
+                          Addr maddr, const mem::Block &bytes) const;
 
     /**
-     * Read a missed metadata block from NVM and verify it. While this
-     * engine is the device's only writer, the bytes are known to match
-     * and only the read is counted (DESIGN.md §8).
+     * Read a missed metadata block from NVM and verify it. While the
+     * MACs are deferred, the bytes are known to match and only the
+     * read is counted (DESIGN.md §8).
      */
     void fetchMetadata(Addr maddr);
 
-    /** Write @p bytes to NVM, counting the engine's own mutation. */
+    /** Write @p bytes to NVM as this engine (not a foreign change). */
     void writeNvm(Addr addr, const mem::Block &bytes);
 
     /** Write path: counter increment + overflow + HMAC update. */

@@ -24,6 +24,8 @@ NvmDevice::tamper(Addr addr, std::size_t offset, std::uint8_t mask)
         panic("tamper offset out of range");
     if (mask == 0)
         panic("tamper with a zero mask modifies nothing");
+    if (deferring_ != nullptr)
+        foreignChange();
     // try_emplace value-initializes fresh blocks to all-zero: the
     // attack registers a never-written block in the store, so it is
     // visible to recovery scans like any engine-persisted block.
@@ -51,9 +53,35 @@ NvmDevice::crash()
     // Contents persist across a crash; nothing to discard here.
 }
 
+bool
+NvmDevice::attachDeferringWriter(DeferringWriter &writer)
+{
+    if (deferring_ != nullptr)
+        return false;
+    deferring_ = &writer;
+    return true;
+}
+
+void
+NvmDevice::detachDeferringWriter(const DeferringWriter &writer)
+{
+    if (deferring_ == &writer)
+        deferring_ = nullptr;
+}
+
+void
+NvmDevice::foreignChange()
+{
+    DeferringWriter *writer = deferring_;
+    deferring_ = nullptr;
+    writer->beforeForeignChange();
+}
+
 std::vector<Addr>
 NvmDevice::journalRollback()
 {
+    if (deferring_ != nullptr && !journalEntries_.empty())
+        foreignChange();
     std::vector<Addr> affected;
     affected.reserve(journalEntries_.size());
     for (const auto &kv : journalEntries_) {

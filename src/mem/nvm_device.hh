@@ -51,6 +51,26 @@ struct NvmTiming
 };
 
 /**
+ * A writer that skips work while every byte on its device is its own
+ * (mee::MemoryEngine defers its persist MACs, DESIGN.md §8). A device
+ * has at most one attached; it is told once, right before the first
+ * content change it did not make lands, and is detached by then.
+ */
+class DeferringWriter
+{
+  public:
+    /**
+     * Called before a tamper, a journal rollback that restores or
+     * erases blocks, or a writeBlock by anyone else changes the store:
+     * the device still holds exactly what this writer wrote.
+     */
+    virtual void beforeForeignChange() = 0;
+
+  protected:
+    ~DeferringWriter() = default;
+};
+
+/**
  * Sparse, block-granular non-volatile store. Blocks never written
  * read as zero. Every access updates traffic statistics, which the
  * benches report as NVM read/write traffic.
@@ -85,11 +105,24 @@ class NvmDevice
     void
     writeBlock(Addr addr, const Block &data)
     {
+        writeBlockAs(nullptr, addr, data);
+    }
+
+    /**
+     * writeBlock on behalf of @p writer: a foreign change unless
+     * @p writer is the attached deferring writer.
+     */
+    void
+    writeBlockAs(const DeferringWriter *writer, Addr addr,
+                 const Block &data)
+    {
         checkAddr(addr);
         // Persist-op boundary: an injected crash suppresses this
         // write, leaving the previous durable contents in place.
         if (fault_ != nullptr)
             fault_->persistPoint();
+        if (deferring_ != nullptr && deferring_ != writer)
+            foreignChange();
         ++writes_;
         ++mutations_;
         if (journal_)
@@ -162,10 +195,26 @@ class NvmDevice
      * Content changes since construction: one per landed writeBlock,
      * tamper, and block restored or erased by journalRollback. A
      * crash-suppressed write, touchWrite and every read leave it
-     * alone. An engine compares it with its own write count to learn
-     * whether anyone else changed the device (DESIGN.md §8).
+     * alone. An engine built on a device with no mutations defers its
+     * integrity work until someone else changes it (DESIGN.md §8).
      */
     std::uint64_t mutations() const { return mutations_; }
+
+    /**
+     * Attach @p writer as the device's deferring writer. Returns
+     * false, attaching nothing, when another writer is attached.
+     */
+    bool attachDeferringWriter(DeferringWriter &writer);
+
+    /** Detach @p writer; a no-op when it is not attached. */
+    void detachDeferringWriter(const DeferringWriter &writer);
+
+    /** The attached deferring writer, nullptr when none. */
+    const DeferringWriter *
+    deferringWriter() const
+    {
+        return deferring_;
+    }
 
     /** Number of distinct blocks ever written. */
     std::uint64_t blocksTouched() const { return store_.size(); }
@@ -259,6 +308,9 @@ class NvmDevice
         }
     }
 
+    /** Detach the deferring writer, then tell it (see DeferringWriter). */
+    void foreignChange();
+
     void
     checkAddr(Addr addr) const
     {
@@ -275,6 +327,7 @@ class NvmDevice
     std::uint64_t writes_ = 0;
     std::uint64_t mutations_ = 0;
     fault::FaultDomain *fault_ = nullptr;
+    DeferringWriter *deferring_ = nullptr;
 
     bool journal_ = false;
     FlatMap<BlockId, JournalEntry> journalEntries_;

@@ -162,6 +162,9 @@ void
 EngineShard::rollbackTornEpoch()
 {
     mee::MemoryEngine &eng = engine();
+    // A rollback that restores or erases blocks is a change the
+    // engine did not make: the device ends a deferral of its persist
+    // MACs first, so the table below is the eager one.
     const std::vector<Addr> rolled = device().journalRollback();
     // The persisted-MAC table describes durable contents; recompute
     // it for every rolled metadata block exactly the way persistBytes

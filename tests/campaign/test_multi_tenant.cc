@@ -74,7 +74,8 @@ TEST_P(MultiTenantConformance, PercentilesMatchNearestRankOracle)
     const campaign::ProtocolRow &row =
         sampledReport().row(GetParam());
     for (unsigned t = 0; t < cfg.tenants; ++t) {
-        const std::string tag = "t" + std::to_string(t);
+        std::string tag = "t";
+        tag += std::to_string(t);
         const std::vector<double> *raw = row.sampleSet(tag + "_co");
         ASSERT_NE(raw, nullptr) << tag << " kept no samples";
         ASSERT_EQ(raw->size(), cfg.ops) << tag;
@@ -152,7 +153,8 @@ TEST(MultiTenant, SlowdownMetricsPresentAndSane)
     const campaign::CampaignConfig cfg = sampledConfig();
     for (const campaign::ProtocolRow &row : sampledReport().rows) {
         for (unsigned t = 0; t < cfg.tenants; ++t) {
-            const std::string tag = "t" + std::to_string(t);
+            std::string tag = "t";
+            tag += std::to_string(t);
             EXPECT_GT(row.num(tag + "_solo_p50"), 0.0);
             EXPECT_GT(row.num(tag + "_p99_slowdown"), 0.0)
                 << mee::protocolName(row.protocol) << " " << tag;

@@ -76,7 +76,9 @@ TEST_P(AmntLevelSweep, StalenessConfinedAtEveryLevel)
 INSTANTIATE_TEST_SUITE_P(Levels, AmntLevelSweep,
                          ::testing::Values(2u, 3u),
                          [](const auto &info) {
-                             return "L" + std::to_string(info.param);
+                             std::string name = "L";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 TEST(AmntLevels, RecoveryWorkShrinksWithDeeperLevels)

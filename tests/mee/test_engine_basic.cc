@@ -127,6 +127,72 @@ TEST_P(EngineBasic, EngineOnWrittenDeviceVerifiesFirstFetch)
     EXPECT_EQ(engine->violations(), 1ull);
 }
 
+TEST_P(EngineBasic, PersistMacsDeferredUntilAForeignChange)
+{
+    ASSERT_TRUE(rig_.engine->persistMacsDeferred());
+    EXPECT_NE(rig_.nvm->deferringWriter(), nullptr);
+    for (std::uint64_t i = 0; i < 300; ++i)
+        test::writePattern(*rig_.engine, i * 4096, i);
+    EXPECT_TRUE(rig_.engine->persistMacsDeferred());
+    EXPECT_EQ(rig_.engine->persistedMacs().size(), 0u);
+
+    // Reads and the engine's own writes keep it deferred; the first
+    // outside write ends the deferral and builds the table.
+    rig_.nvm->writeBlock(rig_.config.dataBytes - kBlockSize,
+                         mem::Block{});
+    EXPECT_FALSE(rig_.engine->persistMacsDeferred());
+    EXPECT_EQ(rig_.nvm->deferringWriter(), nullptr);
+    EXPECT_GT(rig_.engine->persistedMacs().size(), 0u);
+    for (std::uint64_t i = 0; i < 300; i += 7)
+        EXPECT_TRUE(test::checkPattern(*rig_.engine, i * 4096, i));
+    EXPECT_EQ(rig_.engine->violations(), 0ull);
+}
+
+TEST_P(EngineBasic, EngineOnWrittenDeviceStaysEager)
+{
+    const mee::MeeConfig cfg = test::smallConfig(GetParam());
+    const mem::MemoryMap map(cfg.dataBytes);
+    mem::NvmDevice nvm(map.deviceBytes());
+    nvm.writeBlock(cfg.dataBytes - kBlockSize, mem::Block{});
+    auto engine = core::makeEngine(mee::Protocol::Leaf, cfg, nvm);
+    EXPECT_FALSE(engine->persistMacsDeferred());
+    EXPECT_EQ(nvm.deferringWriter(), nullptr);
+    test::writePattern(*engine, 0, 1);
+    EXPECT_GT(engine->persistedMacs().size(), 0u);
+}
+
+TEST_P(EngineBasic, EngineDetachesWhenItDiesBeforeItsDevice)
+{
+    const mee::MeeConfig cfg = test::smallConfig(GetParam());
+    mem::NvmDevice nvm(mem::MemoryMap(cfg.dataBytes).deviceBytes());
+    {
+        auto engine = core::makeEngine(mee::Protocol::Amnt, cfg, nvm);
+        test::writePattern(*engine, 0, 1);
+        ASSERT_TRUE(engine->persistMacsDeferred());
+    }
+    EXPECT_EQ(nvm.deferringWriter(), nullptr);
+    // Nothing is left to call back into.
+    EXPECT_TRUE(nvm.tamper(mem::MemoryMap(cfg.dataBytes).counterBase(),
+                           0, 0x01));
+}
+
+TEST_P(EngineBasic, SecondEngineEndsTheFirstOnesDeferral)
+{
+    test::writePattern(*rig_.engine, 0, 1);
+    auto second =
+        core::makeEngine(mee::Protocol::Leaf, rig_.config, *rig_.nvm);
+    second->setFetchCrossCheck(true);
+    EXPECT_FALSE(second->persistMacsDeferred());
+    EXPECT_TRUE(rig_.engine->persistMacsDeferred());
+    // The second engine's writes are foreign to the first: its
+    // deferral ends (and the cross-check compares the table built
+    // then with its shadow) before the first of them lands.
+    test::writePattern(*second, 4096, 2);
+    EXPECT_FALSE(rig_.engine->persistMacsDeferred());
+    EXPECT_EQ(rig_.nvm->deferringWriter(), nullptr);
+    EXPECT_GT(rig_.engine->persistedMacs().size(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BothPlanes, EngineBasic,
     ::testing::Values(crypto::CryptoPlane::Fast,

@@ -171,5 +171,170 @@ TEST(NvmDevice, RollbackCountsEachRestoredOrErasedBlock)
     EXPECT_EQ(nvm.mutations(), 6ull);
 }
 
+/**
+ * Records each notification together with what the device held at
+ * that moment: the watched block's bytes and the mutation count.
+ */
+struct RecordingWriter final : DeferringWriter
+{
+    explicit RecordingWriter(NvmDevice &d, Addr w = 0x40)
+        : nvm(d), watched(w)
+    {
+    }
+
+    void
+    beforeForeignChange() override
+    {
+        ++calls;
+        nvm.peek(watched, seen);
+        mutationsSeen = nvm.mutations();
+        stillAttached = nvm.deferringWriter() != nullptr;
+    }
+
+    NvmDevice &nvm;
+    Addr watched;
+    unsigned calls = 0;
+    Block seen{};
+    std::uint64_t mutationsSeen = 0;
+    bool stillAttached = false;
+};
+
+Block
+byteBlock(std::uint8_t v)
+{
+    Block b{};
+    b[3] = v;
+    return b;
+}
+
+TEST(NvmDevice, DeferringWriterAttachesOnce)
+{
+    NvmDevice nvm(1 << 20);
+    RecordingWriter a(nvm), b(nvm);
+    EXPECT_EQ(nvm.deferringWriter(), nullptr);
+    EXPECT_TRUE(nvm.attachDeferringWriter(a));
+    EXPECT_FALSE(nvm.attachDeferringWriter(b));
+    EXPECT_EQ(nvm.deferringWriter(), &a);
+    nvm.detachDeferringWriter(b); // not attached: no effect
+    EXPECT_EQ(nvm.deferringWriter(), &a);
+    nvm.detachDeferringWriter(a);
+    EXPECT_EQ(nvm.deferringWriter(), nullptr);
+    // Detached, a foreign change tells nobody.
+    nvm.writeBlock(0x40, byteBlock(1));
+    EXPECT_TRUE(nvm.tamper(0x40, 0, 0x10));
+    EXPECT_EQ(a.calls, 0u);
+    EXPECT_EQ(b.calls, 0u);
+}
+
+TEST(NvmDevice, TamperNotifiesBeforeTheBytesChange)
+{
+    NvmDevice nvm(1 << 20);
+    RecordingWriter w(nvm);
+    ASSERT_TRUE(nvm.attachDeferringWriter(w));
+    nvm.writeBlockAs(&w, 0x40, byteBlock(7));
+    EXPECT_TRUE(nvm.tamper(0x40, 3, 0x01));
+    EXPECT_EQ(w.calls, 1u);
+    EXPECT_EQ(w.seen, byteBlock(7));
+    EXPECT_EQ(w.mutationsSeen, 1ull);
+    EXPECT_FALSE(w.stillAttached);
+    EXPECT_EQ(nvm.deferringWriter(), nullptr);
+    // Told once: later changes of any kind are not reported again.
+    EXPECT_TRUE(nvm.tamper(0x40, 3, 0x01));
+    nvm.writeBlock(0x40, byteBlock(9));
+    EXPECT_EQ(w.calls, 1u);
+}
+
+TEST(NvmDevice, TamperOfUnwrittenBlockNotifiesBeforeItLands)
+{
+    NvmDevice nvm(1 << 20);
+    RecordingWriter w(nvm, 0x400);
+    ASSERT_TRUE(nvm.attachDeferringWriter(w));
+    EXPECT_FALSE(nvm.tamper(0x400, 0, 0x80));
+    EXPECT_EQ(w.calls, 1u);
+    EXPECT_EQ(w.seen, Block{});
+    EXPECT_EQ(w.mutationsSeen, 0ull);
+}
+
+TEST(NvmDevice, RollbackNotifiesBeforeTheBytesChange)
+{
+    NvmDevice nvm(1 << 20);
+    RecordingWriter w(nvm);
+    ASSERT_TRUE(nvm.attachDeferringWriter(w));
+    nvm.writeBlockAs(&w, 0x40, byteBlock(1));
+    nvm.journalEnable();
+    nvm.journalClear();
+    // An empty journal changes nothing and reports nothing.
+    EXPECT_TRUE(nvm.journalRollback().empty());
+    EXPECT_EQ(w.calls, 0u);
+    nvm.writeBlockAs(&w, 0x40, byteBlock(2));
+    EXPECT_EQ(w.calls, 0u);
+    EXPECT_EQ(nvm.journalRollback().size(), 1u);
+    EXPECT_EQ(w.calls, 1u);
+    EXPECT_EQ(w.seen, byteBlock(2));
+    EXPECT_EQ(w.mutationsSeen, 2ull);
+    EXPECT_FALSE(w.stillAttached);
+    Block out;
+    nvm.peek(0x40, out);
+    EXPECT_EQ(out, byteBlock(1));
+}
+
+TEST(NvmDevice, OutsideWriteNotifiesBeforeTheBytesChange)
+{
+    for (bool anonymous : {true, false}) {
+        NvmDevice nvm(1 << 20);
+        RecordingWriter w(nvm), other(nvm);
+        ASSERT_TRUE(nvm.attachDeferringWriter(w));
+        nvm.writeBlockAs(&w, 0x40, byteBlock(3));
+        if (anonymous)
+            nvm.writeBlock(0x40, byteBlock(4));
+        else
+            nvm.writeBlockAs(&other, 0x40, byteBlock(4));
+        EXPECT_EQ(w.calls, 1u);
+        EXPECT_EQ(w.seen, byteBlock(3));
+        EXPECT_EQ(w.mutationsSeen, 1ull);
+        EXPECT_FALSE(w.stillAttached);
+        EXPECT_EQ(other.calls, 0u);
+        Block out;
+        nvm.peek(0x40, out);
+        EXPECT_EQ(out, byteBlock(4));
+    }
+}
+
+TEST(NvmDevice, OwnWritesTrafficAndReadsDoNotNotify)
+{
+    NvmDevice nvm(1 << 20);
+    RecordingWriter w(nvm);
+    ASSERT_TRUE(nvm.attachDeferringWriter(w));
+    nvm.journalEnable();
+    Block out;
+    for (Addr a = 0; a < 0x400; a += kBlockSize) {
+        nvm.writeBlockAs(&w, a, byteBlock(static_cast<std::uint8_t>(a)));
+        nvm.readBlock(a, out);
+        nvm.peek(a, out);
+        nvm.touchRead(a);
+        nvm.touchWrite(a);
+    }
+    nvm.journalClear();
+    nvm.forEachBlockIn(0, 1 << 20, [](Addr, const Block &) {});
+    nvm.crash();
+    EXPECT_EQ(w.calls, 0u);
+    EXPECT_EQ(nvm.deferringWriter(), &w);
+}
+
+TEST(NvmDevice, CrashSuppressedOutsideWriteDoesNotNotify)
+{
+    NvmDevice nvm(1 << 20);
+    RecordingWriter w(nvm);
+    ASSERT_TRUE(nvm.attachDeferringWriter(w));
+    fault::FaultDomain domain;
+    nvm.setFaultDomain(&domain);
+    domain.arm(1);
+    nvm.writeBlockAs(&w, 0x40, byteBlock(5)); // boundary 0 lands
+    EXPECT_THROW(nvm.writeBlock(0x40, byteBlock(6)),
+                 fault::CrashInjected);
+    EXPECT_EQ(w.calls, 0u);
+    EXPECT_EQ(nvm.deferringWriter(), &w);
+}
+
 } // namespace
 } // namespace amnt::mem

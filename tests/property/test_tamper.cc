@@ -25,25 +25,40 @@ class TamperTest : public ::testing::TestWithParam<mee::Protocol>
     TamperTest()
     {
         setQuiet(true);
-        mee::MeeConfig cfg = test::smallConfig();
-        cfg.dataBytes = 2ull << 20;
-        cfg.amntSubtreeLevel = 2;
-        rig_ = std::make_unique<Rig>(GetParam(), cfg);
-        // Populate a working set and push metadata out of the cache
-        // so later fetches really come from (attackable) NVM.
-        for (std::uint64_t i = 0; i < 400; ++i)
-            test::writePattern(*rig_->engine, (i % 256) * kPageSize,
-                               i);
+        rig_ = std::make_unique<Rig>(GetParam(), config());
+        populate(*rig_);
     }
     ~TamperTest() override { setQuiet(false); }
 
+    static mee::MeeConfig
+    config()
+    {
+        mee::MeeConfig cfg = test::smallConfig();
+        cfg.dataBytes = 2ull << 20;
+        cfg.amntSubtreeLevel = 2;
+        return cfg;
+    }
+
+    /**
+     * Populate a working set and push metadata out of the cache so
+     * later fetches really come from (attackable) NVM.
+     */
+    static void
+    populate(Rig &rig)
+    {
+        for (std::uint64_t i = 0; i < 400; ++i)
+            test::writePattern(*rig.engine, (i % 256) * kPageSize, i);
+    }
+
     /** Evict everything cached so fetches hit NVM. */
-    void
-    flushMetadataCache()
+    static void
+    flushMetadataCache(Rig &rig)
     {
         for (std::uint64_t i = 0; i < 512; ++i)
-            rig_->engine->read((256 + (i % 128)) * kPageSize);
+            rig.engine->read((256 + (i % 128)) * kPageSize);
     }
+
+    void flushMetadataCache() { flushMetadataCache(*rig_); }
 
     std::unique_ptr<Rig> rig_;
 };
@@ -110,6 +125,52 @@ TEST_P(TamperTest, ReplayOfOldCounterDetected)
     for (int i = 0; i < 4 && rig_->engine->violations() == 0; ++i)
         rig_->engine->read(0);
     EXPECT_GT(rig_->engine->violations(), 0ull);
+}
+
+TEST_P(TamperTest, DeferredMacTableMatchesEagerEngineAtTamper)
+{
+    // The twin's deferral ends before its first write (an all-zero
+    // write to a data block nothing else touches), so it records
+    // every persist MAC eagerly from the start.
+    Rig eager(GetParam(), config());
+    eager.nvm->writeBlock(config().dataBytes - kBlockSize, mem::Block{});
+    ASSERT_FALSE(eager.engine->persistMacsDeferred());
+    populate(eager);
+
+    // Recovery and the writes after it persist through the same
+    // deferred paths.
+    for (Rig *r : {rig_.get(), &eager}) {
+        flushMetadataCache(*r);
+        r->engine->crash();
+        ASSERT_TRUE(r->engine->recover().success);
+        for (std::uint64_t i = 0; i < 40; ++i)
+            test::writePattern(*r->engine, (i % 8) * kPageSize, 500 + i);
+        flushMetadataCache(*r);
+    }
+    ASSERT_TRUE(rig_->engine->persistMacsDeferred());
+    EXPECT_EQ(rig_->engine->persistedMacs().size(), 0u);
+    ASSERT_GT(eager.engine->persistedMacs().size(), 0u);
+
+    const Addr caddr = rig_->engine->map().counterBase();
+    rig_->nvm->tamper(caddr, 9, 0x80);
+    eager.nvm->tamper(caddr, 9, 0x80);
+    EXPECT_FALSE(rig_->engine->persistMacsDeferred());
+
+    const auto &built = rig_->engine->persistedMacs();
+    const auto &want = eager.engine->persistedMacs();
+    ASSERT_EQ(built.size(), want.size());
+    for (const auto &kv : want) {
+        auto it = built.find(kv.first);
+        ASSERT_NE(it, built.end()) << std::hex << kv.first;
+        EXPECT_EQ(it->second, kv.second) << std::hex << kv.first;
+    }
+
+    for (int i = 0; i < 4; ++i) {
+        rig_->engine->read(0);
+        eager.engine->read(0);
+    }
+    EXPECT_GT(rig_->engine->violations(), 0ull);
+    EXPECT_EQ(rig_->engine->violations(), eager.engine->violations());
 }
 
 // Every persistent protocol in the registry is enrolled; registering
