@@ -14,11 +14,7 @@
  * in results/BENCH_replay.json (tools/check_replay_bench.py) and
  * fails on a >20% per-(protocol, preset) regression.
  *
- *   bench_replay [--json out.json] [--protocol=NAME] [--shards=N,M]
- *
- * `--shards=` adds sharded-engine legs (shard/sharded_engine.hh) at
- * the given drain-lane counts on top of the flat-memory run; their rows
- * carry a "shards" field and the history check keys them separately.
+ *   bench_replay [--json out.json] [--protocol=NAME]
  *
  * AMNT_BENCH_INSTR / AMNT_BENCH_WARMUP / AMNT_BENCH_SCALE shape the
  * run exactly like the figure harnesses; AMNT_BENCH_REPS (default 3)
@@ -68,19 +64,13 @@ record(const std::string &preset, const std::string &path,
     sys.run(instr, warmup);
 }
 
-/**
- * One timed replay; returns simulated data accesses per second.
- * @p shards 0 runs the flat secure memory; N >= 1 runs the
- * sharded model on N drain lanes (simulated results identical across
- * N — only this wall-clock rate moves).
- */
+/** One timed replay; returns simulated data accesses per second. */
 double
 replayRate(mee::Protocol p, const std::string &preset,
            const std::string &path, std::uint64_t instr,
-           std::uint64_t warmup, unsigned shards = 0)
+           std::uint64_t warmup)
 {
-    sim::SystemConfig cfg = sim::SystemConfig::singleProgram(p);
-    cfg.shards = shards;
+    const sim::SystemConfig cfg = sim::SystemConfig::singleProgram(p);
     sim::WorkloadConfig w = bench::scaled(sim::namedWorkload(preset));
     w.name = "trace:" + path;
     w.traceFile = path;
@@ -111,44 +101,25 @@ main(int argc, char **argv)
         only ? std::vector<mee::Protocol>{*only}
              : core::allProtocols();
 
-    // `--shards=N[,M...]`: bench the sharded engine at those lane
-    // counts after the flat-memory run. Rows carry a "shards" field so the
-    // history check keys (protocol, preset, shards) independently.
-    const std::vector<unsigned> shard_list =
-        bench::shardsOverride(argc, argv);
-
     bench::JsonSink sink(argc, argv, "bench_replay");
     TextTable table;
-    table.header({"protocol", "preset", "shards", "Maccess/s"});
-
-    std::vector<unsigned> variants = {0};
-    variants.insert(variants.end(), shard_list.begin(),
-                    shard_list.end());
+    table.header({"protocol", "preset", "Maccess/s"});
 
     for (const char *preset : kPresets) {
         const std::string path = tracePath(preset);
         record(preset, path, instr, warmup);
-        for (unsigned shards : variants) {
-            for (mee::Protocol p : protocols) {
-                double best = 0.0;
-                for (std::uint64_t rep = 0; rep < reps; ++rep)
-                    best = std::max(
-                        best, replayRate(p, preset, path, instr,
-                                         warmup, shards));
-                table.row({mee::protocolName(p), preset,
-                           shards == 0 ? "-"
-                                       : std::to_string(shards),
-                           TextTable::num(best / 1e6, 3)});
-                bench::JsonRow row;
-                row.field("protocol",
-                          std::string(mee::protocolName(p)));
-                row.field("preset", std::string(preset));
-                if (shards > 0)
-                    row.field("shards",
-                              static_cast<std::uint64_t>(shards));
-                row.field("accesses_per_sec", best);
-                sink.add(row);
-            }
+        for (mee::Protocol p : protocols) {
+            double best = 0.0;
+            for (std::uint64_t rep = 0; rep < reps; ++rep)
+                best = std::max(
+                    best, replayRate(p, preset, path, instr, warmup));
+            table.row({mee::protocolName(p), preset,
+                       TextTable::num(best / 1e6, 3)});
+            bench::JsonRow row;
+            row.field("protocol", std::string(mee::protocolName(p)));
+            row.field("preset", std::string(preset));
+            row.field("accesses_per_sec", best);
+            sink.add(row);
         }
         std::remove(path.c_str());
     }

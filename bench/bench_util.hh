@@ -146,47 +146,6 @@ protocolOverride(int argc, char **argv)
 }
 
 /**
- * Parse a `--shards=N[,M...]` / `--shards N[,M...]` override: the
- * sharded-engine lane counts to bench in addition to the flat
- * secure-memory run (see shard/sharded_engine.hh — the lane count is
- * host execution policy, so simulated results are byte-identical
- * across the list; only wall-clock throughput moves). Returns an
- * empty list when the flag is absent; fatal on malformed values.
- */
-inline std::vector<unsigned>
-shardsOverride(int argc, char **argv)
-{
-    std::string spec;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const std::string eq = "--shards=";
-        if (arg.rfind(eq, 0) == 0) {
-            spec = arg.substr(eq.size());
-        } else if (arg == "--shards") {
-            if (i + 1 >= argc)
-                fatal("--shards needs a value, e.g. --shards=1,4");
-            spec = argv[i + 1];
-        }
-    }
-    std::vector<unsigned> shards;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t end = spec.find(',', pos);
-        if (end == std::string::npos)
-            end = spec.size();
-        const std::string tok = spec.substr(pos, end - pos);
-        char *rest = nullptr;
-        const unsigned long v = std::strtoul(tok.c_str(), &rest, 10);
-        if (tok.empty() || *rest != '\0' || v == 0)
-            fatal("--shards: '%s' is not a positive lane count",
-                  tok.c_str());
-        shards.push_back(static_cast<unsigned>(v));
-        pos = end + 1;
-    }
-    return shards;
-}
-
-/**
  * Apply a `--protocol=` override to a built job matrix: every job
  * simulates the chosen protocol while keeping its label, workload,
  * and core count. No-op without the flag.

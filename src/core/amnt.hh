@@ -128,42 +128,10 @@ class AmntStrategy : public mee::ProtocolStrategy
                                 : tree().node(subtreeRoot());
     }
 
-    std::unique_ptr<mee::ProtocolShadow>
-    cloneShadow() const override
-    {
-        auto snap = std::make_unique<Snapshot>();
-        snap->region = region_;
-        snap->bootstrapped = bootstrapped_;
-        snap->subtreeRegister = subtreeRegister();
-        return snap;
-    }
-
-    void
-    restoreShadow(const mee::ProtocolShadow &snap) override
-    {
-        const auto &s = static_cast<const Snapshot &>(snap);
-        region_ = s.region;
-        bootstrapped_ = s.bootstrapped;
-        latchedRegister_ = s.subtreeRegister;
-        registerLatched_ = true;
-    }
-
   protected:
     void onAttach() override;
 
   private:
-    /**
-     * Epoch-commit snapshot of the NV registers: the fast-subtree
-     * target and its 64 B root register. The history buffer and
-     * interval counter are volatile and die at any crash.
-     */
-    struct Snapshot : mee::ProtocolShadow
-    {
-        std::uint64_t region = 0;
-        bool bootstrapped = false;
-        mem::Block subtreeRegister{};
-    };
-
     /** Leaf-persistence fast path for in-subtree writes. */
     Cycle persistInside(const mee::WriteContext &ctx);
 
@@ -198,8 +166,8 @@ class AmntStrategy : public mee::ProtocolStrategy
 
     /**
      * NV on-chip register holding the subtree root node's bytes. It
-     * reads the live node until a crash or a shadow restore latches
-     * a value here; it starts latched at zero, before bootstrap.
+     * reads the live node until a crash latches a value here; it
+     * starts latched at zero, before bootstrap.
      */
     mem::Block latchedRegister_{};
     bool registerLatched_ = true;
@@ -216,9 +184,8 @@ makeEngine(mee::Protocol p, const mee::MeeConfig &config,
 
 /**
  * The flat secure memory: one protocol engine over its own NVM
- * device, sized from the engine's MemoryMap. What System runs
- * unsharded, and the building block of both HybridEngine sides and
- * every shard slice.
+ * device, sized from the engine's MemoryMap. What System runs, and
+ * the building block of both HybridEngine sides.
  */
 class FlatMemory final : public mee::SecureMemory
 {
@@ -227,13 +194,12 @@ class FlatMemory final : public mee::SecureMemory
                const mem::NvmTiming &timing = mem::NvmTiming());
 
     Cycle
-    read(Addr addr, std::uint8_t *out = nullptr, unsigned = 0) override
+    read(Addr addr, std::uint8_t *out = nullptr) override
     {
         return engine_->read(addr, out);
     }
     Cycle
-    write(Addr addr, const std::uint8_t *data = nullptr,
-          unsigned = 0) override
+    write(Addr addr, const std::uint8_t *data = nullptr) override
     {
         return engine_->write(addr, data);
     }
@@ -253,14 +219,11 @@ class FlatMemory final : public mee::SecureMemory
     {
         registerStats(reg, "");
     }
-    mee::MemoryEngine &slice(unsigned) override { return *engine_; }
-    mem::NvmDevice &sliceDevice(unsigned) override { return nvm_; }
+    mee::MemoryEngine &engine() override { return *engine_; }
+    mem::NvmDevice &device() override { return nvm_; }
 
     /** Federate under "mee<suffix>.*" and "nvm<suffix>.*". */
     void registerStats(obs::StatRegistry &reg, const std::string &suffix);
-
-    mee::MemoryEngine &engine() { return *engine_; }
-    mem::NvmDevice &device() { return nvm_; }
 
   private:
     mem::NvmDevice nvm_;

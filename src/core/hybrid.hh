@@ -40,7 +40,7 @@ struct HybridConfig
  * Address-partitioned secure memory controller:
  * [0, scmBytes) is persistent SCM under AMNT; [scmBytes,
  * scmBytes+dramBytes) is DRAM under the volatile scheme. The SCM
- * side is its one persistent slice.
+ * side is its persistent-side engine().
  */
 class HybridEngine final : public mee::SecureMemory
 {
@@ -56,14 +56,13 @@ class HybridEngine final : public mee::SecureMemory
 
     /** Read/write one block; dispatches on the partition. */
     Cycle
-    read(Addr addr, std::uint8_t *out = nullptr, unsigned = 0) override
+    read(Addr addr, std::uint8_t *out = nullptr) override
     {
         return isScm(addr) ? scm_->read(addr, out)
                            : dram_->read(addr - config_.scmBytes, out);
     }
     Cycle
-    write(Addr addr, const std::uint8_t *data = nullptr,
-          unsigned = 0) override
+    write(Addr addr, const std::uint8_t *data = nullptr) override
     {
         return isScm(addr) ? scm_->write(addr, data)
                            : dram_->write(addr - config_.scmBytes, data);
@@ -104,8 +103,8 @@ class HybridEngine final : public mee::SecureMemory
      */
     void registerStats(obs::StatRegistry &reg) override;
 
-    mee::MemoryEngine &slice(unsigned) override { return scm_->engine(); }
-    mem::NvmDevice &sliceDevice(unsigned) override { return scm_->device(); }
+    mee::MemoryEngine &engine() override { return scm_->engine(); }
+    mem::NvmDevice &device() override { return scm_->device(); }
 
   private:
     /** Build a fresh, empty DRAM side, as every boot does. */

@@ -92,27 +92,7 @@ class AnubisStrategy : public ProtocolStrategy
     /** Shadow-table occupancy (bounded by metadata cache lines). */
     std::size_t shadowEntries() const { return shadow_.size(); }
 
-    std::unique_ptr<ProtocolShadow>
-    cloneShadow() const override
-    {
-        auto snap = std::make_unique<Snapshot>();
-        snap->table = shadow_;
-        return snap;
-    }
-
-    void
-    restoreShadow(const ProtocolShadow &snap) override
-    {
-        shadow_ = static_cast<const Snapshot &>(snap).table;
-    }
-
   private:
-    /** Epoch-commit snapshot: the NV shadow table in full. */
-    struct Snapshot : ProtocolShadow
-    {
-        std::unordered_map<Addr, mem::Block> table;
-    };
-
     /**
      * The in-NVM shadow table: latest bytes of every metadata block
      * currently resident in the metadata cache. Survives crashes.

@@ -276,23 +276,4 @@ BmfStrategy::recover()
     return report;
 }
 
-std::unique_ptr<ProtocolShadow>
-BmfStrategy::cloneShadow() const
-{
-    auto snap = std::make_unique<Snapshot>();
-    snap->roots = roots_;
-    snap->index = index_;
-    snap->writesSinceAdapt = writesSinceAdapt_;
-    return snap;
-}
-
-void
-BmfStrategy::restoreShadow(const ProtocolShadow &snap)
-{
-    const auto &s = static_cast<const Snapshot &>(snap);
-    roots_ = s.roots;
-    index_ = s.index;
-    writesSinceAdapt_ = s.writesSinceAdapt;
-}
-
 } // namespace amnt::mee

@@ -58,10 +58,6 @@ class BmfStrategy : public ProtocolStrategy
     /** Check the full-coverage invariant for @p counter_idx. */
     bool covers(std::uint64_t counter_idx) const;
 
-    std::unique_ptr<ProtocolShadow> cloneShadow() const override;
-
-    void restoreShadow(const ProtocolShadow &snap) override;
-
   protected:
     void onAttach() override;
 
@@ -86,14 +82,6 @@ class BmfStrategy : public ProtocolStrategy
 
     /** Rebuild the linear-id lookup index after set mutations. */
     void rebuildIndex();
-
-    /** Epoch-commit snapshot: the full NV root set and its index. */
-    struct Snapshot : ProtocolShadow
-    {
-        std::vector<RootEntry> roots;
-        std::unordered_map<std::uint64_t, std::size_t> index;
-        std::uint64_t writesSinceAdapt = 0;
-    };
 
     std::vector<RootEntry> roots_;
     /** linearId -> index in roots_ for O(1) covering-root lookup. */

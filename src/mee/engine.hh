@@ -48,11 +48,6 @@ namespace amnt::obs
 class StatRegistry;
 }
 
-namespace amnt::shard
-{
-class EngineShard;
-}
-
 namespace amnt::mee
 {
 
@@ -487,15 +482,6 @@ class MemoryEngine : private mem::DeferringWriter
     std::unique_ptr<ProtocolStrategy> strategy_;
 
     friend class ProtocolStrategy;
-
-    /**
-     * The sharded scale-out wrapper (shard/sharded_engine.hh) rolls
-     * torn epochs back to the last durable commit: it restores the
-     * persisted-MAC table, the functional plaintext pre-images and
-     * the NV root register to their committed values between crash()
-     * and recover().
-     */
-    friend class shard::EngineShard;
 
     // Per-access statistics resolved once (see StatGroup::counter).
     std::uint64_t *dataReads_;

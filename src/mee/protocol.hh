@@ -30,20 +30,6 @@ namespace amnt::mee
 {
 
 /**
- * Opaque snapshot of a protocol's non-volatile on-chip state (shadow
- * tables, persistent root sets, subtree registers). The sharded
- * engine captures one per epoch commit via
- * ProtocolStrategy::cloneShadow and hands it back through
- * restoreShadow when a torn cross-shard epoch must be rolled back to
- * the last durable commit. Protocols whose NV state is only the root
- * register need no shadow and keep the default hooks.
- */
-struct ProtocolShadow
-{
-    virtual ~ProtocolShadow() = default;
-};
-
-/**
  * Crash-boundary declaration: what the scheme promises about the
  * state NVM + NV registers are in at an arbitrary power failure.
  * Drives automatic enrollment into the verification matrix.
@@ -133,26 +119,6 @@ class ProtocolStrategy
     /** Recovery planner: rebuild a trusted state from NVM + NV
      *  registers and report the traffic/time model. */
     virtual RecoveryReport recover() = 0;
-
-    /**
-     * Snapshot the protocol's non-volatile on-chip state for the
-     * sharded engine's epoch commit record. nullptr (the default)
-     * declares "no NV state beyond the root register".
-     */
-    virtual std::unique_ptr<ProtocolShadow>
-    cloneShadow() const
-    {
-        return nullptr;
-    }
-
-    /**
-     * Restore NV on-chip state from a cloneShadow() snapshot taken at
-     * the last committed epoch. Runs between crash() and recover(),
-     * after the device journal rolled the torn epoch's NVM writes
-     * back, so the restored state is exactly what a crash right after
-     * that commit would have left.
-     */
-    virtual void restoreShadow(const ProtocolShadow &) {}
 
     /**
      * Bind to @p engine (exactly once, from the engine constructor)

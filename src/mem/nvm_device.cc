@@ -1,7 +1,5 @@
 #include "mem/nvm_device.hh"
 
-#include <algorithm>
-
 #include "common/bitops.hh"
 #include "common/log.hh"
 #include "obs/registry.hh"
@@ -75,29 +73,6 @@ NvmDevice::foreignChange()
     DeferringWriter *writer = deferring_;
     deferring_ = nullptr;
     writer->beforeForeignChange();
-}
-
-std::vector<Addr>
-NvmDevice::journalRollback()
-{
-    if (deferring_ != nullptr && !journalEntries_.empty())
-        foreignChange();
-    std::vector<Addr> affected;
-    affected.reserve(journalEntries_.size());
-    for (const auto &kv : journalEntries_) {
-        const BlockId blk = kv.first;
-        const JournalEntry &e = kv.second;
-        if (e.wasPresent)
-            store_.try_emplace(blk).first->second = e.preimage;
-        else
-            store_.erase(blk);
-        ++mutations_;
-        affected.push_back(blockAddr(blk));
-    }
-    journalEntries_.clear();
-    ++journalRollbacks_;
-    std::sort(affected.begin(), affected.end());
-    return affected;
 }
 
 void

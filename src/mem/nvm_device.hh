@@ -21,7 +21,6 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "common/bitops.hh"
 #include "common/flat_map.hh"
@@ -60,9 +59,9 @@ class DeferringWriter
 {
   public:
     /**
-     * Called before a tamper, a journal rollback that restores or
-     * erases blocks, or a writeBlock by anyone else changes the store:
-     * the device still holds exactly what this writer wrote.
+     * Called before a tamper or a writeBlock by anyone else changes
+     * the store: the device still holds exactly what this writer
+     * wrote.
      */
     virtual void beforeForeignChange() = 0;
 
@@ -125,8 +124,6 @@ class NvmDevice
             foreignChange();
         ++writes_;
         ++mutations_;
-        if (journal_)
-            journalCapture(blockOf(addr));
         // try_emplace + assign: fresh blocks are value-initialized
         // then overwritten, existing blocks take one probe total.
         store_.try_emplace(blockOf(addr)).first->second = data;
@@ -192,10 +189,9 @@ class NvmDevice
     std::uint64_t writes() const { return writes_; }
 
     /**
-     * Content changes since construction: one per landed writeBlock,
-     * tamper, and block restored or erased by journalRollback. A
-     * crash-suppressed write, touchWrite and every read leave it
-     * alone. An engine built on a device with no mutations defers its
+     * Content changes since construction: one per landed writeBlock
+     * and tamper. A crash-suppressed write, touchWrite and every read
+     * leave it alone. An engine built on a device with no mutations defers its
      * integrity work until someone else changes it (DESIGN.md §8).
      */
     std::uint64_t mutations() const { return mutations_; }
@@ -246,68 +242,7 @@ class NvmDevice
         Addr lo, Addr hi,
         const std::function<void(Addr, const Block &)> &visitor) const;
 
-    // ------------------------------------------------- epoch journal
-    //
-    // Pre-image journal for the sharded engine's torn-epoch rollback
-    // (shard/sharded_engine.hh): between journalClear() calls, the
-    // first content-carrying write to each block records the block's
-    // previous durable value (or its absence). journalRollback()
-    // restores exactly those pre-images. The journal append is
-    // modeled as atomic with the block write it shadows — both land
-    // in the same ADR persist burst — so it adds no crash-point
-    // boundaries of its own (DESIGN.md §15). Timing-plane touchWrite
-    // traffic carries no contents and needs no pre-image.
-
-    /** Start capturing pre-images (idempotent; sharded engines only). */
-    void journalEnable() { journal_ = true; }
-
-    /** Whether pre-image capture is on. */
-    bool journalEnabled() const { return journal_; }
-
-    /** Commit: the open epoch's pre-images are no longer needed. */
-    void journalClear() { journalEntries_.clear(); }
-
-    /** True when content writes happened since the last clear. */
-    bool journalDirty() const { return !journalEntries_.empty(); }
-
-    /** Pre-images captured since construction (shard-layer stat). */
-    std::uint64_t journalCaptures() const { return journalCaptures_; }
-
-    /** Rollbacks performed since construction (shard-layer stat). */
-    std::uint64_t journalRollbacks() const { return journalRollbacks_; }
-
-    /**
-     * Undo every content write since the last journalClear():
-     * journaled blocks revert to their pre-image, blocks that had
-     * never been written are erased from the store (so recovery scans
-     * see no phantom all-zero blocks). Generates no device traffic
-     * and no persist points — it models what was simply never made
-     * durable. Returns the affected block addresses, sorted.
-     */
-    std::vector<Addr> journalRollback();
-
   private:
-    /** A block's durable state before the open epoch first wrote it. */
-    struct JournalEntry
-    {
-        bool wasPresent = false;
-        Block preimage{};
-    };
-
-    void
-    journalCapture(BlockId blk)
-    {
-        auto [it, fresh] = journalEntries_.try_emplace(blk);
-        if (!fresh)
-            return;
-        ++journalCaptures_;
-        auto s = store_.find(blk);
-        if (s != store_.end()) {
-            it->second.wasPresent = true;
-            it->second.preimage = s->second;
-        }
-    }
-
     /** Detach the deferring writer, then tell it (see DeferringWriter). */
     void foreignChange();
 
@@ -328,11 +263,6 @@ class NvmDevice
     std::uint64_t mutations_ = 0;
     fault::FaultDomain *fault_ = nullptr;
     DeferringWriter *deferring_ = nullptr;
-
-    bool journal_ = false;
-    FlatMap<BlockId, JournalEntry> journalEntries_;
-    std::uint64_t journalCaptures_ = 0;
-    std::uint64_t journalRollbacks_ = 0;
 };
 
 } // namespace amnt::mem

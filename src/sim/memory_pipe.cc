@@ -156,9 +156,8 @@ MemoryPipe::apply(const Batch &b)
         const Addr addr = op & kAddrMask;
         const auto core =
             static_cast<unsigned>((op >> kCoreShift) & kCoreMask);
-        latency[core] += (op & kWriteBit) != 0
-                             ? memory.write(addr, nullptr, core)
-                             : memory.read(addr, nullptr, core);
+        latency[core] += (op & kWriteBit) != 0 ? memory.write(addr)
+                                               : memory.read(addr);
     }
 }
 

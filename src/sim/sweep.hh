@@ -20,14 +20,11 @@
  * Thread count: AMNT_SWEEP_THREADS when set (strictly parsed),
  * otherwise one thread per hardware thread.
  *
- * Flat and sharded systems run the same way: SystemConfig.shards
- * rides inside each Job's config and only picks which
- * mee::SecureMemory the System builds. The determinism contract
- * extends to the shard-lane count — a job's statsJson and RunResult
- * are byte-identical whether its system drains one lane or many,
- * at any sweep thread count (see shard/sharded_engine.hh and
- * tests/shard/test_shard_invariance.cc). A job that ends with
- * integrity violations is fatal.
+ * A job's System may apply its secure-memory ops on a helper thread
+ * (sim/memory_pipe.hh) when the host has a spare core; that too
+ * decides only when the ops are applied, so a job's statsJson and
+ * RunResult are byte-identical with or without it. A job that ends
+ * with integrity violations is fatal.
  */
 
 #ifndef AMNT_SIM_SWEEP_HH

@@ -77,40 +77,21 @@ System::System(const SystemConfig &config) : config_(config)
 {
     if (config.cores == 0)
         fatal("system needs at least one core");
+    if (config.shards != 0)
+        fatal("SystemConfig::shards must be 0, got %u: a System runs "
+              "one flat secure memory",
+              config.shards);
     if (config_.traceRecordPath.empty())
         config_.traceRecordPath = envRecordPath();
 
-    // AMNT_SHARDS selects the sharded scale-out model (lane count
-    // only; the slice partition is a separate, fixed parameter — see
-    // SystemConfig::shards).
-    if (config_.shards == 0) {
-        if (const char *s = std::getenv("AMNT_SHARDS");
-            s != nullptr && s[0] != '\0') {
-            config_.shards = static_cast<unsigned>(
-                std::strtoull(s, nullptr, 10));
-        }
-    }
-
-    if (config_.shards > 0) {
-        shard::ShardOptions so;
-        so.lanes = config_.shards;
-        so.cores = config_.cores;
-        memory_ = std::make_unique<shard::ShardedEngine>(
-            config.protocol, config.mee, so);
-    } else {
-        memory_ =
-            std::make_unique<core::FlatMemory>(config.protocol, config.mee);
-    }
-
+    memory_ =
+        std::make_unique<core::FlatMemory>(config.protocol, config.mee);
     pipe_ = std::make_unique<MemoryPipe>(*memory_, config.cores,
                                          config.mee.dataBytes);
 
     const std::uint64_t frames = config.mee.dataBytes / kPageSize;
-    // AMNT regions live inside each slice's tree (smaller when
-    // sharded), so the allocator's region granule comes from slice
-    // geometry.
     const std::uint64_t frames_per_region =
-        memory_->slice(0).map().geometry().countersPerNode(
+        memory_->engine().map().geometry().countersPerNode(
             config.mee.amntSubtreeLevel);
     if (config.amntpp) {
         allocator_ = std::make_unique<os::AmntPpAllocator>(
@@ -145,10 +126,8 @@ System::System(const SystemConfig &config) : config_(config)
 core::AmntStrategy *
 System::amnt()
 {
-    if (memory_->sliceCount() != 1)
-        return nullptr;
     return dynamic_cast<core::AmntStrategy *>(
-        &memory_->slice(0).strategy());
+        &memory_->engine().strategy());
 }
 
 Cycle
@@ -166,14 +145,12 @@ System::memWrite(Addr a, unsigned core)
 }
 
 void
-System::syncShards()
+System::syncMemory()
 {
     // Latencies only ever add into the cores' cycles, and nothing reads
     // those before this boundary: summing them here is exact.
     std::vector<Cycle> lat(cores_.size(), 0);
     pipe_->drain(lat);
-    memory_->flush();
-    memory_->harvestLatencies(lat);
     for (std::size_t i = 0; i < cores_.size(); ++i)
         cores_[i].cycles += lat[i];
 }
@@ -284,7 +261,7 @@ System::step(Core &c, unsigned idx)
     if (ref.flush) {
         // Persistence-model flush: the dirty line is written through
         // to the secure memory controller on the critical path; its
-        // latency reaches this core at the next syncShards().
+        // latency reaches this core at the next syncMemory().
         memWrite(paddr, idx);
     }
     chargeOs(c);
@@ -302,14 +279,12 @@ System::snapshot()
         s.faults.push_back(c.pageTable->faults());
     }
     s.osInstructions = osInstructions_;
-    for (unsigned i = 0; i < memory_->sliceCount(); ++i) {
-        const mee::MemoryEngine &eng = memory_->slice(i);
-        s.mcacheHits += eng.metaCache().stats().get("hits");
-        s.mcacheMisses += eng.metaCache().stats().get("misses");
-        s.subtreeHits += eng.stats().get("subtree_hits");
-        s.subtreeMisses += eng.stats().get("subtree_misses");
-        s.movements += eng.stats().get("subtree_movements");
-    }
+    const mee::MemoryEngine &eng = memory_->engine();
+    s.mcacheHits = eng.metaCache().stats().get("hits");
+    s.mcacheMisses = eng.metaCache().stats().get("misses");
+    s.subtreeHits = eng.stats().get("subtree_hits");
+    s.subtreeMisses = eng.stats().get("subtree_misses");
+    s.movements = eng.stats().get("subtree_movements");
     return s;
 }
 
@@ -351,10 +326,10 @@ System::run(std::uint64_t instructions_per_core,
     std::uint64_t daemon_clock = 0;
     if (warmup_per_core > 0)
         advance(warmup_per_core, daemon_clock);
-    syncShards();
+    syncMemory();
     const Snapshot before = snapshot();
     advance(instructions_per_core, daemon_clock);
-    syncShards();
+    syncMemory();
     const Snapshot after = snapshot();
 
     // Seal each recording with the run's silent tail so a looped

@@ -5,7 +5,7 @@
  *
  * Each core runs one process (workload + private page table) through
  * private cache levels into an optional shared LLC; misses and dirty
- * write-backs reach the one secure-memory unit, flat or sharded,
+ * write-backs reach the one secure-memory unit, a core::FlatMemory,
  * through a MemoryPipe (sim/memory_pipe.hh) that may apply them on a
  * memory-side helper thread. Their latencies reach the cores' cycle
  * counts at each measurement boundary.
@@ -28,7 +28,6 @@
 #include "obs/registry.hh"
 #include "os/amntpp_allocator.hh"
 #include "os/page_table.hh"
-#include "shard/sharded_engine.hh"
 #include "sim/memory_pipe.hh"
 #include "sim/traceio/writer.hh"
 #include "sim/workload.hh"
@@ -48,15 +47,10 @@ struct SystemConfig
     os::AmntPpConfig amntppCfg;
 
     /**
-     * Which secure memory the system runs: 0 builds a
-     * core::FlatMemory (unless AMNT_SHARDS overrides it at
-     * construction); N >= 1 builds a shard::ShardedEngine with N
-     * host drain lanes (shard/sharded_engine.hh). Both sit behind
-     * the same mee::SecureMemory interface. The logical partition
-     * is always shard::ShardOptions' default 4 slices, independent
-     * of N, so simulated results are byte-identical at any shard
-     * count — `--shards=1` is the sharded model on one lane, not the
-     * flat memory.
+     * Must be 0: System always runs one core::FlatMemory, and rejects
+     * any other value. The field remains only because the benchmark
+     * driver (perfbench/cpp/driver.hh) still reads it; it goes once
+     * that read does.
      */
     unsigned shards = 0;
 
@@ -144,7 +138,7 @@ class System
     RunResult run(std::uint64_t instructions_per_core,
                   std::uint64_t warmup_per_core = 0);
 
-    /** The secure memory, flat or sharded. */
+    /** The secure memory. */
     mee::SecureMemory &engine() { return *memory_; }
 
     /** The physical allocator. */
@@ -157,8 +151,7 @@ class System
         return histogram_;
     }
 
-    /** AMNT strategy; nullptr for other protocols and for sharded
-     *  memories, which run one strategy per slice. */
+    /** AMNT strategy; nullptr for other protocols. */
     core::AmntStrategy *amnt();
 
     /**
@@ -201,19 +194,19 @@ class System
 
     /**
      * Queue one LLC miss or write-back for the secure memory. Its
-     * latency reaches the core at the next syncShards(), so the
+     * latency reaches the core at the next syncMemory(), so the
      * hierarchy is charged 0 now.
      */
     Cycle memRead(Addr a, unsigned core);
     Cycle memWrite(Addr a, unsigned core);
 
     /**
-     * Apply every queued memory op, drain + commit everything the
-     * memory buffers, and fold the accrued per-core latencies into the
-     * cores' cycle counts. Called at every measurement boundary so
-     * snapshots observe a fully-settled machine.
+     * Apply every queued memory op and fold the pipe's per-core
+     * latency sums into the cores' cycle counts. Called at every
+     * measurement boundary so snapshots observe a fully-settled
+     * machine.
      */
-    void syncShards();
+    void syncMemory();
 
     /** Attribute freshly accrued OS instructions to core @p c. */
     void chargeOs(Core &c);
@@ -241,7 +234,7 @@ class System
 
     SystemConfig config_;
     obs::StatRegistry registry_;
-    std::unique_ptr<mee::SecureMemory> memory_;
+    std::unique_ptr<core::FlatMemory> memory_;
     std::unique_ptr<MemoryPipe> pipe_; ///< the only user of memory_ in run()
     std::unique_ptr<os::BuddyAllocator> allocator_;
     std::unique_ptr<cache::Cache> llc_;

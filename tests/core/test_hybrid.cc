@@ -95,7 +95,7 @@ TEST(Hybrid, ScmTamperStillDetected)
     HybridEngine h(smallHybrid());
     std::uint8_t buf[kBlockSize] = {5};
     h.write(0x2000, buf);
-    h.sliceDevice(0).tamper(0x2000, 3, 0x04);
+    h.device().tamper(0x2000, 3, 0x04);
     h.read(0x2000);
     EXPECT_GT(h.violations(), 0ull);
     setQuiet(false);

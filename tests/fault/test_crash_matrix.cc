@@ -4,13 +4,9 @@
  * crashed at every persist-op boundary of a fixed seeded workload,
  * must recover without losing a committed block, without missing a
  * tamper, and in agreement with a committed-write reference replay.
- * The torn-epoch matrix runs the same schedule over a ShardedEngine
- * of 2 and 4 slices, whose boundaries add the fence between each
- * slice's epoch drain and the cross-shard commit record, and the
- * record's own persist.
  *
- * Geometry is small on purpose (2 MB of data per slice → 512 counter
- * pages, node levels 1..4) so the exhaustive sweep stays in CI budget;
+ * Geometry is small on purpose (2 MB of data → 512 counter pages,
+ * node levels 1..4) so the exhaustive sweep stays in CI budget;
  * a strided medium geometry runs when AMNT_FAULT_GEOMETRY=medium. A
  * failing boundary prints its crash-point ID; reproduce it alone with
  *   AMNT_FAULT_POINT=<id> ./test_fault \
@@ -19,10 +15,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <map>
-#include <tuple>
 
 #include "common/log.hh"
 #include "core/protocol_registry.hh"
@@ -34,22 +28,14 @@ using namespace amnt;
 namespace
 {
 
-/**
- * Matrix geometry: small enough for exhaustive boundary coverage.
- * Sharded runs (@p slices > 0) give every slice the unsharded
- * geometry, so the per-slice recovery a torn epoch reduces to is
- * itself exhaustively validated by the unsharded legs.
- */
+/** Matrix geometry: small enough for exhaustive boundary coverage. */
 fault::ScheduleConfig
-matrixConfig(mee::Protocol p, unsigned subtree_level = 3,
-             unsigned slices = 0)
+matrixConfig(mee::Protocol p, unsigned subtree_level = 3)
 {
     fault::ScheduleConfig cfg;
     cfg.protocol = p;
-    cfg.slices = slices;
-    const std::uint64_t per_slice = std::max(1u, slices);
-    // 512 pages a slice, node levels 1..3.
-    cfg.mee.dataBytes = per_slice * (2ull << 20);
+    // 512 pages, node levels 1..3.
+    cfg.mee.dataBytes = 2ull << 20;
     if (subtree_level >= 4)
         cfg.mee.dataBytes = 16ull << 20; // deepen to node levels 1..4
     cfg.mee.trackContents = true;
@@ -71,7 +57,7 @@ matrixConfig(mee::Protocol p, unsigned subtree_level = 3,
 
     if (const char *g = std::getenv("AMNT_FAULT_GEOMETRY");
         g != nullptr && std::string(g) == "medium") {
-        cfg.mee.dataBytes = per_slice * (16ull << 20);
+        cfg.mee.dataBytes = 16ull << 20;
         cfg.workloadOps = 384;
         cfg.pages = 192;
         cfg.stride = 17; // deterministic subset at medium geometry
@@ -159,36 +145,6 @@ TEST(CrashMatrixExtra, Hybrid)
     runMatrix(cfg);
 }
 
-/**
- * Instantiated from core::persistentProtocols() x slice counts {2,4}:
- * registering a protocol enrolls it in the torn-epoch matrix with no
- * per-protocol test code, and EveryPersistentProtocolEnrolled
- * guarantees the set cannot silently shrink.
- */
-class ShardCrashMatrix
-    : public ::testing::TestWithParam<
-          std::tuple<mee::Protocol, unsigned>>
-{
-};
-
-TEST_P(ShardCrashMatrix, AllBoundariesRecover)
-{
-    const auto [protocol, slices] = GetParam();
-    runMatrix(matrixConfig(protocol, 3, slices));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Registry, ShardCrashMatrix,
-    ::testing::Combine(
-        ::testing::ValuesIn(core::persistentProtocols()),
-        ::testing::Values(2u, 4u)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<mee::Protocol, unsigned>> &info) {
-        return std::string(
-                   mee::protocolName(std::get<0>(info.param))) +
-               "_x" + std::to_string(std::get<1>(info.param));
-    });
-
 // ---------------------------------------------------------------------
 // Scheduling machinery.
 
@@ -273,13 +229,8 @@ TEST(CrashSchedule, DefaultGeometryBoundaryCountsArePinned)
         return fault::runCrashSchedule(cfg).totalBoundaries;
     };
     std::map<std::string, std::uint64_t> got;
-    for (mee::Protocol p : core::persistentProtocols()) {
-        const std::string name = mee::protocolName(p);
-        got[name] = count(matrixConfig(p));
-        for (unsigned slices : {2u, 4u})
-            got[name + "_x" + std::to_string(slices)] =
-                count(matrixConfig(p, 3, slices));
-    }
+    for (mee::Protocol p : core::persistentProtocols())
+        got[mee::protocolName(p)] = count(matrixConfig(p));
     got["amnt_level2"] = count(matrixConfig(mee::Protocol::Amnt, 2));
     got["amnt_level4"] = count(matrixConfig(mee::Protocol::Amnt, 4));
     fault::ScheduleConfig hybrid = matrixConfig(mee::Protocol::Amnt);
@@ -287,15 +238,10 @@ TEST(CrashSchedule, DefaultGeometryBoundaryCountsArePinned)
     got["hybrid"] = count(hybrid);
 
     const std::map<std::string, std::uint64_t> want = {
-        {"amnt", 283}, {"amnt_level2", 92}, {"amnt_level4", 345},
-        {"amnt_x2", 322}, {"amnt_x4", 323}, {"anubis", 134},
-        {"anubis_x2", 176}, {"anubis_x4", 189}, {"bmf", 94},
-        {"bmf_x2", 118}, {"bmf_x4", 131}, {"hybrid", 204}, {"leaf", 92},
-        {"leaf_x2", 117}, {"leaf_x4", 132}, {"osiris", 93},
-        {"osiris_x2", 118}, {"osiris_x4", 133}, {"phoenix", 100},
-        {"phoenix_x2", 117}, {"phoenix_x4", 132}, {"stit", 230},
-        {"stit_x2", 254}, {"stit_x4", 269}, {"strict", 299},
-        {"strict_x2", 327}, {"strict_x4", 340},
+        {"amnt", 283},    {"amnt_level2", 92}, {"amnt_level4", 345},
+        {"anubis", 134},  {"bmf", 94},         {"hybrid", 204},
+        {"leaf", 92},     {"osiris", 93},      {"phoenix", 100},
+        {"stit", 230},    {"strict", 299},
     };
     EXPECT_EQ(got, want);
 }
@@ -421,55 +367,4 @@ TEST(FaultDomain, DisarmedDomainIsInert)
         d.persistPoint();
     }
     EXPECT_EQ(d.events(), 0u);
-}
-
-// ---------------------------------------------------------------------
-// Torn-epoch scheduling machinery.
-
-TEST(ShardCrashSchedule, BoundaryCountIsDeterministic)
-{
-    QuietScope quiet;
-    fault::ScheduleConfig cfg = matrixConfig(mee::Protocol::Leaf, 3, 2);
-    cfg.onlyPoint = ~0ull; // count, then test nothing real
-    const fault::ScheduleReport a = fault::runCrashSchedule(cfg);
-    const fault::ScheduleReport b = fault::runCrashSchedule(cfg);
-    EXPECT_EQ(a.totalBoundaries, b.totalBoundaries);
-    EXPECT_GT(a.totalBoundaries, 0u);
-}
-
-TEST(ShardCrashSchedule, RunBoundaryMatchesScheduleOutcome)
-{
-    QuietScope quiet;
-    const fault::ScheduleConfig cfg =
-        matrixConfig(mee::Protocol::Osiris, 3, 2);
-    const fault::BoundaryOutcome out = fault::runBoundary(cfg, 3);
-    EXPECT_TRUE(out.ok()) << out.detail;
-    EXPECT_EQ(out.point, 3u);
-}
-
-TEST(ShardCrashSchedule, TornEpochsAreActuallyExercised)
-{
-    // The matrix only proves what it reaches: assert the boundary
-    // stream really contains torn-epoch cases by finding boundaries
-    // whose recovery rolled at least one slice back. Every epoch
-    // close contributes `slices` drain fences before its commit
-    // record, so crashes at those fences tear the epoch by
-    // construction — if no boundary reports a rollback, the fences
-    // are not in the stream and the matrix is vacuous.
-    QuietScope quiet;
-    const fault::ScheduleConfig cfg =
-        matrixConfig(mee::Protocol::Leaf, 3, 2);
-    fault::ScheduleConfig probe = cfg;
-    probe.onlyPoint = ~0ull;
-    const fault::ScheduleReport count = fault::runCrashSchedule(probe);
-    ASSERT_GT(count.totalBoundaries, 0u);
-    std::uint64_t torn_boundaries = 0;
-    for (std::uint64_t k = 0; k < count.totalBoundaries; ++k) {
-        const fault::BoundaryOutcome out = fault::runBoundary(cfg, k);
-        ASSERT_TRUE(out.ok())
-            << "boundary " << k << ": " << out.detail;
-        if (out.tornSlices > 0)
-            ++torn_boundaries;
-    }
-    EXPECT_GT(torn_boundaries, 0u);
 }

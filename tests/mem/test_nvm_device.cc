@@ -151,26 +151,6 @@ TEST(NvmDevice, SuppressedWriteDoesNotMutate)
     EXPECT_EQ(out, Block{});
 }
 
-TEST(NvmDevice, RollbackCountsEachRestoredOrErasedBlock)
-{
-    NvmDevice nvm(1 << 20);
-    Block b{};
-    b[0] = 0x01;
-    nvm.writeBlock(0x40, b); // durable before the epoch
-    nvm.journalEnable();
-    nvm.journalClear();
-    b[0] = 0x02;
-    nvm.writeBlock(0x40, b); // restored by the rollback
-    nvm.writeBlock(0x40, b); // same block: one journal entry
-    nvm.writeBlock(0x80, b); // erased by the rollback
-    EXPECT_EQ(nvm.mutations(), 4ull);
-    EXPECT_EQ(nvm.journalRollback().size(), 2u);
-    EXPECT_EQ(nvm.mutations(), 6ull);
-    // An empty journal rolls nothing back and changes nothing.
-    EXPECT_TRUE(nvm.journalRollback().empty());
-    EXPECT_EQ(nvm.mutations(), 6ull);
-}
-
 /**
  * Records each notification together with what the device held at
  * that moment: the watched block's bytes and the mutation count.
@@ -255,29 +235,6 @@ TEST(NvmDevice, TamperOfUnwrittenBlockNotifiesBeforeItLands)
     EXPECT_EQ(w.mutationsSeen, 0ull);
 }
 
-TEST(NvmDevice, RollbackNotifiesBeforeTheBytesChange)
-{
-    NvmDevice nvm(1 << 20);
-    RecordingWriter w(nvm);
-    ASSERT_TRUE(nvm.attachDeferringWriter(w));
-    nvm.writeBlockAs(&w, 0x40, byteBlock(1));
-    nvm.journalEnable();
-    nvm.journalClear();
-    // An empty journal changes nothing and reports nothing.
-    EXPECT_TRUE(nvm.journalRollback().empty());
-    EXPECT_EQ(w.calls, 0u);
-    nvm.writeBlockAs(&w, 0x40, byteBlock(2));
-    EXPECT_EQ(w.calls, 0u);
-    EXPECT_EQ(nvm.journalRollback().size(), 1u);
-    EXPECT_EQ(w.calls, 1u);
-    EXPECT_EQ(w.seen, byteBlock(2));
-    EXPECT_EQ(w.mutationsSeen, 2ull);
-    EXPECT_FALSE(w.stillAttached);
-    Block out;
-    nvm.peek(0x40, out);
-    EXPECT_EQ(out, byteBlock(1));
-}
-
 TEST(NvmDevice, OutsideWriteNotifiesBeforeTheBytesChange)
 {
     for (bool anonymous : {true, false}) {
@@ -305,7 +262,6 @@ TEST(NvmDevice, OwnWritesTrafficAndReadsDoNotNotify)
     NvmDevice nvm(1 << 20);
     RecordingWriter w(nvm);
     ASSERT_TRUE(nvm.attachDeferringWriter(w));
-    nvm.journalEnable();
     Block out;
     for (Addr a = 0; a < 0x400; a += kBlockSize) {
         nvm.writeBlockAs(&w, a, byteBlock(static_cast<std::uint8_t>(a)));
@@ -314,7 +270,6 @@ TEST(NvmDevice, OwnWritesTrafficAndReadsDoNotNotify)
         nvm.touchRead(a);
         nvm.touchWrite(a);
     }
-    nvm.journalClear();
     nvm.forEachBlockIn(0, 1 << 20, [](Addr, const Block &) {});
     nvm.crash();
     EXPECT_EQ(w.calls, 0u);

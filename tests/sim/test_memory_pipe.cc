@@ -4,13 +4,13 @@
  * secure-memory ops, never what they compute. Pinned here:
  *
  *  - System parity: every registry protocol on 1-, 2- and 4-core
- *    systems, over flat and sharded memories, gives a byte-identical
- *    RunResult and statsJson with the helper thread forced on and
- *    forced off, where neither run's op count is a multiple of the
- *    batch size and the warm-up ends in the middle of a batch.
+ *    systems gives a byte-identical RunResult and statsJson with the
+ *    helper thread forced on and forced off, where neither run's op
+ *    count is a multiple of the batch size and the warm-up ends in
+ *    the middle of a batch.
  *  - Pipe parity: seeded op streams through the pipe (helper on and
  *    off, drains mid-batch and on a batch edge) match direct calls on
- *    a twin flat, hybrid and sharded memory, latency for latency.
+ *    a twin flat and hybrid memory, latency for latency.
  *  - An exception on the helper resurfaces at the next drain.
  *  - The helper budget: grants never take the total past the hardware
  *    threads, and a full-width sweep grants none.
@@ -32,7 +32,6 @@
 #include "core/hybrid.hh"
 #include "core/protocol_registry.hh"
 #include "obs/registry.hh"
-#include "shard/sharded_engine.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
@@ -47,11 +46,10 @@ constexpr std::uint64_t kBatch = sim::MemoryPipe::kBatchOps;
 
 /** A system small enough that most references reach the memory. */
 sim::SystemConfig
-missHeavyConfig(mee::Protocol p, unsigned cores, unsigned shards)
+missHeavyConfig(mee::Protocol p, unsigned cores)
 {
     sim::SystemConfig cfg = sim::SystemConfig::singleProgram(p);
     cfg.cores = cores;
-    cfg.shards = shards;
     cfg.mee.dataBytes = 1ull << 30;
     cfg.privateLevels = {{"l1d", 4 * 1024, 4, 2},
                          {"l2", 16 * 1024, 4, 12}};
@@ -119,7 +117,7 @@ TEST(MemoryPipe, MiniatureStreamsEndMidBatch)
     // the end of the run both fall inside a batch, after at least one
     // full batch each.
     for (unsigned cores : {1u, 2u, 4u}) {
-        sim::System sys(missHeavyConfig(mee::Protocol::Volatile, cores, 0));
+        sim::System sys(missHeavyConfig(mee::Protocol::Volatile, cores));
         for (unsigned c = 0; c < cores; ++c)
             sys.addProcess(process(c));
         sys.run(kWarmup, 0); // the parity runs' warm-up, measured
@@ -142,17 +140,14 @@ TEST_P(MemoryPipeParity, SystemRunsMatchHelperOnAndOff)
 {
     const mee::Protocol p = GetParam();
     for (unsigned cores : {1u, 2u, 4u}) {
-        for (unsigned shards : {0u, 2u}) {
-            const sim::SystemConfig cfg = missHeavyConfig(p, cores, shards);
-            const std::string what = "cores " + std::to_string(cores) +
-                                     " shards " + std::to_string(shards);
-            const Outcome off = runSystem(cfg, Helper::Never);
-            const Outcome on = runSystem(cfg, Helper::Always);
-            EXPECT_EQ(off.offloaded, 0u) << what;
-            EXPECT_GE(on.offloaded, 2u) << what;
-            expectSameResult(on.result, off.result, what);
-            EXPECT_EQ(on.stats, off.stats) << what;
-        }
+        const sim::SystemConfig cfg = missHeavyConfig(p, cores);
+        const std::string what = "cores " + std::to_string(cores);
+        const Outcome off = runSystem(cfg, Helper::Never);
+        const Outcome on = runSystem(cfg, Helper::Always);
+        EXPECT_EQ(off.offloaded, 0u) << what;
+        EXPECT_GE(on.offloaded, 2u) << what;
+        expectSameResult(on.result, off.result, what);
+        EXPECT_EQ(on.stats, off.stats) << what;
     }
 }
 
@@ -168,7 +163,7 @@ TEST(MemoryPipe, AmntPlusPlusParity)
 {
     // The AMNT++ daemon restructures the allocator on an instruction
     // clock mid-run; its frames, and so the op stream, must not move.
-    sim::SystemConfig cfg = missHeavyConfig(mee::Protocol::Amnt, 2, 0);
+    sim::SystemConfig cfg = missHeavyConfig(mee::Protocol::Amnt, 2);
     cfg.amntpp = true;
     cfg.daemonEvery = 3000;
     const Outcome off = runSystem(cfg, Helper::Never);
@@ -212,13 +207,6 @@ memoryKinds()
     hc.mee = smallMee();
     kinds.push_back({"hybrid", hc.scmBytes + hc.dramBytes, [hc] {
                          return std::make_unique<core::HybridEngine>(hc);
-                     }});
-    kinds.push_back({"sharded", smallMee().dataBytes, [] {
-                         shard::ShardOptions so;
-                         so.lanes = 2;
-                         so.cores = 4;
-                         return std::make_unique<shard::ShardedEngine>(
-                             mee::Protocol::Strict, smallMee(), so);
                      }});
     return kinds;
 }
@@ -278,12 +266,9 @@ TEST(MemoryPipe, PipeMatchesDirectCallsOnEveryMemoryKind)
         for (std::uint64_t cut : cuts) {
             for (; i < cut; ++i) {
                 const Op &op = ops[i];
-                acc[op.core] += op.write
-                                    ? direct->write(op.addr, nullptr, op.core)
-                                    : direct->read(op.addr, nullptr, op.core);
+                acc[op.core] += op.write ? direct->write(op.addr)
+                                         : direct->read(op.addr);
             }
-            direct->flush();
-            direct->harvestLatencies(acc);
             want.push_back(acc);
         }
         const std::string want_stats = statsOf(*direct);
@@ -304,8 +289,6 @@ TEST(MemoryPipe, PipeMatchesDirectCallsOnEveryMemoryKind)
                              : pipe.read(op.addr, op.core);
                 }
                 pipe.drain(got);
-                memory->flush();
-                memory->harvestLatencies(got);
                 EXPECT_EQ(got, want[c]) << what << " cut " << c;
                 EXPECT_EQ(pipe.opsPushed(), cuts[c]) << what;
             }
@@ -330,16 +313,16 @@ class FailingMemory final : public mee::SecureMemory
     }
 
     Cycle
-    read(Addr a, std::uint8_t *out, unsigned core) override
+    read(Addr a, std::uint8_t *out) override
     {
         if (++reads_ == failAt_)
             throw std::runtime_error("injected read failure");
-        return inner_.read(a, out, core);
+        return inner_.read(a, out);
     }
     Cycle
-    write(Addr a, const std::uint8_t *d, unsigned core) override
+    write(Addr a, const std::uint8_t *d) override
     {
-        return inner_.write(a, d, core);
+        return inner_.write(a, d);
     }
     void crash() override { inner_.crash(); }
     mee::RecoveryReport recover() override { return inner_.recover(); }
@@ -355,14 +338,8 @@ class FailingMemory final : public mee::SecureMemory
     {
         inner_.registerStats(r);
     }
-    mee::MemoryEngine &slice(unsigned s) override
-    {
-        return inner_.slice(s);
-    }
-    mem::NvmDevice &sliceDevice(unsigned s) override
-    {
-        return inner_.sliceDevice(s);
-    }
+    mee::MemoryEngine &engine() override { return inner_.engine(); }
+    mem::NvmDevice &device() override { return inner_.device(); }
 
     std::uint64_t reads() const { return reads_; }
 

@@ -134,5 +134,15 @@ TEST(System, NoIntegrityViolationsDuringNormalRuns)
     EXPECT_EQ(sys.engine().violations(), 0ull);
 }
 
+TEST(SystemDeathTest, RejectsNonZeroShards)
+{
+    // SystemConfig::shards is kept only for a reader of the field; a
+    // System always runs one flat secure memory.
+    SystemConfig cfg = tinySystem(mee::Protocol::Amnt);
+    cfg.shards = 2;
+    EXPECT_EXIT({ System sys(cfg); }, ::testing::ExitedWithCode(1),
+                "shards must be 0");
+}
+
 } // namespace
 } // namespace amnt::sim

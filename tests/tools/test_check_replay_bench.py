@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Unit tests for tools/check_replay_bench.py over synthetic files.
 
-Exercises the (protocol, preset, shards) cell keying: sharded rows
-must not be compared against the legacy (shards-free) history cell,
-cells absent from history are record-only instead of a crash,
-malformed history entries are ignored with a warning, regressions on
-matching keys still gate, --append round-trips the shards field, and
-the dump's top-level peak_rss_mb (every JsonSink document carries one)
-is ignored: the tool reads only "bench" and "rows".
+Exercises the (protocol, preset) cell keying: history entries of the
+retired sharded mode never become a flat cell's baseline, cells absent
+from history are record-only instead of a crash, malformed history
+entries are ignored with a warning, regressions on matching keys still
+gate, --append writes flat cells that a later check matches, and the
+dump's top-level peak_rss_mb (every JsonSink document carries one) is
+ignored: the tool reads only "bench" and "rows".
 
 Run directly or via ctest (registered in tests/CMakeLists.txt).
 """
@@ -51,20 +51,19 @@ def history_dump(entries):
     return {"bench": "bench_replay", "entries": entries}
 
 
-def row(protocol, preset, rate, shards=None):
-    r = {
+def row(protocol, preset, rate):
+    return {
         "protocol": protocol,
         "preset": preset,
         "accesses_per_sec": rate,
     }
-    if shards is not None:
-        r["shards"] = shards
-    return r
 
 
 def entry(protocol, preset, rate, shards=None, rev="r0"):
-    e = row(protocol, preset, rate, shards)
+    e = row(protocol, preset, rate)
     e["git_rev"] = rev
+    if shards is not None:
+        e["shards"] = shards
     return e
 
 
@@ -76,42 +75,42 @@ class CheckReplayBenchTest(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def test_sharded_cell_absent_from_history_is_record_only(self):
-        # The sharded run is slower per-lane than the legacy cell;
-        # keyed by (protocol, preset) alone this would be a false
-        # regression — keyed with shards it is a new cell.
+    def test_sharded_history_entry_never_gates_flat_row(self):
+        # A newer sharded entry for the same (protocol, preset) would
+        # be the flat row's baseline if it were not skipped, and its
+        # rate is far above the flat row's.
         cur = write_json(
             self.dir,
             "cur.json",
-            current_dump(
-                [
-                    row("amnt", "zipfian", 1_000_000.0),
-                    row("amnt", "zipfian", 500_000.0, shards=4),
-                ]
-            ),
-        )
-        hist = write_json(
-            self.dir,
-            "hist.json",
-            history_dump([entry("amnt", "zipfian", 1_000_000.0)]),
-        )
-        res = run_tool("--current", cur, "--history", hist)
-        self.assertEqual(res.returncode, 0, res.stderr)
-        self.assertIn("amnt/zipfian/x4", res.stdout)
-        self.assertIn("record-only", res.stdout)
-
-    def test_regression_on_matching_sharded_cell_still_gates(self):
-        cur = write_json(
-            self.dir,
-            "cur.json",
-            current_dump([row("amnt", "zipfian", 100.0, shards=4)]),
+            current_dump([row("amnt", "zipfian", 1000.0)]),
         )
         hist = write_json(
             self.dir,
             "hist.json",
             history_dump(
-                [entry("amnt", "zipfian", 1000.0, shards=4)]
+                [
+                    entry("amnt", "zipfian", 1000.0, rev="flat"),
+                    entry("amnt", "zipfian", 9000.0, shards=4, rev="x4"),
+                    entry("leaf", "zipfian", 9000.0, shards=4, rev="x4"),
+                ]
             ),
+        )
+        res = run_tool("--current", cur, "--history", hist)
+        self.assertEqual(res.returncode, 0, res.stderr)
+        self.assertIn("amnt/zipfian: 1,000/s vs 1,000/s @ flat", res.stdout)
+        self.assertEqual(res.stdout.count("retired sharded mode"), 1)
+        self.assertIn("2 history entries", res.stdout)
+
+    def test_regression_on_matching_cell_gates(self):
+        cur = write_json(
+            self.dir,
+            "cur.json",
+            current_dump([row("amnt", "zipfian", 100.0)]),
+        )
+        hist = write_json(
+            self.dir,
+            "hist.json",
+            history_dump([entry("amnt", "zipfian", 1000.0)]),
         )
         res = run_tool("--current", cur, "--history", hist)
         self.assertEqual(res.returncode, 1)
@@ -138,14 +137,14 @@ class CheckReplayBenchTest(unittest.TestCase):
         self.assertIn("malformed history entry", res.stdout)
         self.assertIn("ok", res.stdout)
 
-    def test_append_round_trips_shards_field(self):
+    def test_append_writes_cells_a_later_check_matches(self):
         cur = write_json(
             self.dir,
             "cur.json",
             current_dump(
                 [
                     row("amnt", "zipfian", 1000.0),
-                    row("amnt", "zipfian", 4000.0, shards=4),
+                    row("leaf", "gups", 4000.0),
                 ]
             ),
         )
@@ -160,12 +159,13 @@ class CheckReplayBenchTest(unittest.TestCase):
             "abc123",
         )
         self.assertEqual(res.returncode, 0, res.stderr)
+        self.assertIn("record-only", res.stdout)
         with open(hist) as f:
             recorded = json.load(f)["entries"]
         self.assertEqual(len(recorded), 2)
-        self.assertNotIn("shards", recorded[0])  # legacy row stays
-        self.assertEqual(recorded[1]["shards"], 4)
-        self.assertEqual(recorded[1]["git_rev"], "abc123")
+        for e in recorded:
+            self.assertNotIn("shards", e)
+            self.assertEqual(e["git_rev"], "abc123")
 
         # A second check against the appended history matches cells.
         res2 = run_tool("--current", cur, "--history", hist)

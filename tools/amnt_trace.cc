@@ -3,14 +3,13 @@
  *
  *   amnt_trace record --out=t.trc [--workload=gups] [--protocol=amnt]
  *                     [--instr=N] [--warmup=N] [--stats=stats.json]
- *                     [--shards=N]
  *       Run one single-core simulation of the named workload with
  *       trace recording on, optionally dumping the run's full
  *       StatRegistry JSON.
  *
  *   amnt_trace replay --trace=t.trc [--workload=gups]
  *                     [--protocol=amnt] [--instr=N] [--warmup=N]
- *                     [--stats=stats.json] [--shards=N]
+ *                     [--stats=stats.json]
  *       Feed a recorded trace back through the same stack. With the
  *       same workload/protocol/instr/warmup as the recording run,
  *       the stats dump is bit-identical to the live run's (the
@@ -54,9 +53,6 @@ struct Options
     std::string stats;
     std::uint64_t instr = 100'000;
     std::uint64_t warmup = 0;
-
-    /** 0 = flat memory (unless AMNT_SHARDS); N = sharded lanes. */
-    std::uint64_t shards = 0;
 };
 
 std::uint64_t
@@ -102,10 +98,6 @@ parse(int argc, char **argv)
             o.warmup = parseU64(num, "--warmup");
             continue;
         }
-        if (take("--shards", num)) {
-            o.shards = parseU64(num, "--shards");
-            continue;
-        }
         fatal("unknown option '%s'", arg.c_str());
     }
     return o;
@@ -134,9 +126,6 @@ runSim(const Options &o, const std::string &record_path,
         core::protocolByName(o.protocol));
     cfg.mee.dataBytes = envU64("AMNT_TRACE_DATA_BYTES", 1ull << 30);
     cfg.traceRecordPath = record_path;
-    // Sharded scale-out: the stats dump stays byte-identical at any
-    // --shards value (CI diffs a 1-lane against a 4-lane replay).
-    cfg.shards = static_cast<unsigned>(o.shards);
 
     // Replay keeps the named workload's parameters so the pre-ROI
     // hot-page initialization (and with it the page-table and

@@ -4,12 +4,13 @@
 Compares a fresh bench_replay JSON dump (the JsonSink format:
 {"bench": "bench_replay", "rows": [...]}) against the recorded
 history in results/BENCH_replay.json and fails when any
-(protocol, preset, shards) cell is more than --threshold slower than
-its most recent recorded entry. Cells with no history — a protocol
-or shard count added since the last recording, or legacy entries
-that predate the shards field — pass with a "new, record-only" note
-instead of crashing on the missing key; malformed history entries
-are warned about and ignored.
+(protocol, preset) cell is more than --threshold slower than its most
+recent recorded entry. Cells with no history — a protocol added since
+the last recording — pass with a "new, record-only" note instead of
+crashing on the missing key; malformed history entries are warned
+about and ignored. Entries carrying a "shards" field were recorded by
+the retired sharded memory model; they are skipped with one note, so
+they never become a flat cell's baseline.
 
     check_replay_bench.py --current out.json \
         [--history results/BENCH_replay.json] [--threshold 0.2]
@@ -41,29 +42,22 @@ def load_history(path):
 
 
 def cell_key(entry):
-    """(protocol, preset, shards) identity of a row or history entry.
-
-    Entries that predate the sharded bench carry no "shards" field;
-    they key as shards=0 (the flat secure-memory run), so old and
-    new histories interoperate without rewriting.
-    """
-    return (
-        entry.get("protocol"),
-        entry.get("preset"),
-        entry.get("shards", 0),
-    )
+    """(protocol, preset) identity of a row or history entry."""
+    return (entry.get("protocol"), entry.get("preset"))
 
 
 def cell_name(key):
-    proto, preset, shards = key
-    base = f"{proto}/{preset}"
-    return f"{base}/x{shards}" if shards else base
+    return "/".join(key)
 
 
 def latest_recorded(history):
-    """Last recorded rate per (protocol, preset, shards) cell."""
+    """Last recorded rate per (protocol, preset) cell."""
     latest = {}
+    retired = 0
     for e in history["entries"]:
+        if "shards" in e:
+            retired += 1
+            continue
         key = cell_key(e)
         if key[0] is None or key[1] is None or "accesses_per_sec" not in e:
             print(f"  warning: malformed history entry ignored: {e}")
@@ -71,6 +65,11 @@ def latest_recorded(history):
         latest[key] = (
             e["accesses_per_sec"],
             e.get("git_rev", "?"),
+        )
+    if retired:
+        print(
+            f"  note: {retired} history entries of the retired sharded "
+            "mode skipped"
         )
     return latest
 
@@ -127,19 +126,16 @@ def main():
 
     if args.append:
         for row in rows:
-            entry = {
-                "protocol": row["protocol"],
-                "preset": row["preset"],
-                "accesses_per_sec": round(
-                    row["accesses_per_sec"], 1
-                ),
-                "git_rev": args.rev,
-            }
-            # Legacy rows stay shards-free so old checkers keep
-            # reading the history; sharded rows record their lanes.
-            if row.get("shards", 0):
-                entry["shards"] = row["shards"]
-            history["entries"].append(entry)
+            history["entries"].append(
+                {
+                    "protocol": row["protocol"],
+                    "preset": row["preset"],
+                    "accesses_per_sec": round(
+                        row["accesses_per_sec"], 1
+                    ),
+                    "git_rev": args.rev,
+                }
+            )
         with open(args.history, "w") as f:
             json.dump(history, f, indent=2)
             f.write("\n")
