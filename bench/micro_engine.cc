@@ -2,8 +2,8 @@
  * Microbenchmark: raw MemoryEngine::read / MemoryEngine::write
  * throughput (host accesses per second) for every protocol — the
  * single-thread hot path that bounds how fast the figure sweeps can
- * simulate. Unlike micro_crypto this is a plain chrono binary, so it
- * doubles as a quick regression check for the engine fast path.
+ * simulate. It also serves as a quick regression check for the
+ * engine fast path.
  *
  * Environment knobs:
  *   AMNT_MICRO_OPS  accesses measured per protocol and op (def. 400k)

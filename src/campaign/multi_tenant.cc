@@ -114,7 +114,8 @@ fillMultiTenant(mee::Protocol p, const CampaignConfig &cfg,
 
     for (unsigned i = 0; i < T; ++i) {
         const HistogramSummary co = lats[i].snapshot();
-        const std::string t = "t" + std::to_string(i);
+        std::string t = "t";
+        t += std::to_string(i);
         row.str(t + "_kind", kKinds[i % kKinds.size()].name);
         row.u64(t + "_ops", co.count);
         row.f64(t + "_solo_p50", solo[i].p50);

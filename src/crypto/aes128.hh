@@ -14,8 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "crypto/dispatch.hh"
-
 namespace amnt::crypto
 {
 
@@ -24,8 +22,7 @@ using AesBlock = std::array<std::uint8_t, 16>;
 
 /**
  * Portable AES-128 ECB encryption of @p nblocks 16-byte blocks with
- * the expanded schedule @p rk (the scalar kernel behind
- * dispatch::AesEncryptFn).
+ * the expanded schedule @p rk.
  */
 void aes128EncryptScalar(const std::uint8_t *rk, const std::uint8_t *in,
                          std::uint8_t *out, std::size_t nblocks);
@@ -38,31 +35,23 @@ void aes128EncryptScalar(const std::uint8_t *rk, const std::uint8_t *in,
 class Aes128
 {
   public:
-    /**
-     * Expand the 16-byte key into the round-key schedule and capture
-     * the active dispatch kernel (AES-NI or scalar).
-     */
+    /** Expand the 16-byte key into the round-key schedule. */
     explicit Aes128(const AesBlock &key);
 
     /** Encrypt one 16-byte block in place semantics: out = E_k(in). */
     AesBlock encrypt(const AesBlock &in) const;
 
-    /**
-     * Encrypt @p nblocks consecutive 16-byte blocks; the dispatched
-     * kernel pipelines independent blocks through the cipher rounds,
-     * so wide calls amortize the per-block latency.
-     */
+    /** Encrypt @p nblocks consecutive 16-byte blocks. */
     void
     encryptBlocks(const std::uint8_t *in, std::uint8_t *out,
                   std::size_t nblocks) const
     {
-        enc_(roundKeys_, in, out, nblocks);
+        aes128EncryptScalar(roundKeys_, in, out, nblocks);
     }
 
   private:
     // 11 round keys of 16 bytes each.
     std::uint8_t roundKeys_[176];
-    dispatch::AesEncryptFn enc_;
 };
 
 } // namespace amnt::crypto

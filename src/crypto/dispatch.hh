@@ -1,136 +1,49 @@
 /**
  * @file
- * Runtime ISA dispatch for the crypto kernels.
+ * The crypto kernel set, as perfbench's run manifest reads it.
  *
- * The MEE engine funnels every simulated memory access through
- * HashEngine::mac64 and EncryptionEngine::pad, so the crypto kernels
- * are the floor under all benchmark harnesses. This module selects,
- * once at startup, the fastest available implementation of the two
- * dispatchable primitives:
- *
- *  - SHA-256 block compression: SHA-NI (`_mm_sha256rnds2_epu32`) when
- *    the CPU and build support it, scalar otherwise;
- *  - AES-128 block encryption: AES-NI (`_mm_aesenc_si128`) pipelined
- *    over multiple blocks, scalar otherwise;
- *  - four-lane SipHash-2-4 batch absorption: AVX-512VL (`vprolq`, the
- *    only x86 extension with a true 64-bit vector rotate) or AVX2
- *    (shift-shift-or rotates), scalar otherwise. A 4-wide SipHash
- *    state is 16 live 64-bit words — more than the x86-64 integer
- *    register file — so a GPR interleave spills and loses to plain
- *    scalar code; only the vector units make batching profitable.
- *
- * All paths compute bit-identical results — dispatch changes speed,
- * never output — which the known-answer tests in
- * tests/crypto/test_kat_dispatch.cc assert for every detected path.
- *
- * Selection policy: the AMNT_CRYPTO_ISA environment variable
- * ("native" default, "scalar", "aesni", "shani") filtered by CPUID
- * detection. The partial sets (aesni, shani) isolate their named
- * kernel for measurement and keep everything else scalar; the vector
- * SipHash kernel is only engaged by "native". Objects (Sha256,
- * Aes128, SipHash24) capture the active kernel pointers at
- * construction, so tests and benches may switch paths with select()
- * and construct fresh objects; the switch is not thread-safe and
- * exists for measurement/verification only.
+ * Every primitive has one portable C++ path, so these are constants:
+ * the scalar kernels, with no batch kernels. They go once the
+ * manifest stops reading them.
  */
 
 #ifndef AMNT_CRYPTO_DISPATCH_HH
 #define AMNT_CRYPTO_DISPATCH_HH
 
-#include <cstddef>
-#include <cstdint>
-
 namespace amnt::crypto::dispatch
 {
 
-/** Selectable kernel sets (feature combinations, not vendors). */
+/** The one kernel set. */
 enum class Isa
 {
-    Scalar, ///< portable C++ kernels only
-    AesNi,  ///< AES-NI encryption, scalar SHA-256
-    ShaNi,  ///< SHA-NI compression, scalar AES
-    Native, ///< everything the CPU supports (default)
+    Scalar,
 };
 
-/** Name used by AMNT_CRYPTO_ISA and in bench/test labels. */
-const char *isaName(Isa isa);
-
-/** CPU feature bits relevant to the kernels (cached CPUID). */
-struct CpuCaps
+/** Manifest name of @p isa. */
+inline const char *
+isaName(Isa)
 {
-    bool aesni = false;
-    bool shani = false;
-    bool ssse3 = false;
-    bool sse41 = false;
-    bool avx2 = false;     ///< includes the OS ymm-state check
-    bool avx512vl = false; ///< AVX-512F+VL, includes the OS check
-};
+    return "scalar";
+}
 
-/** Detected capabilities of this CPU (and build). */
-const CpuCaps &cpuCaps();
-
-/**
- * SHA-256 compression over @p nblocks consecutive 64-byte blocks,
- * updating the 8-word state in place.
- */
-using Sha256CompressFn = void (*)(std::uint32_t state[8],
-                                  const std::uint8_t *blocks,
-                                  std::size_t nblocks);
-
-/**
- * AES-128 ECB encryption of @p nblocks 16-byte blocks with the
- * 11-round-key schedule @p rk (176 bytes, as laid out by Aes128).
- */
-using AesEncryptFn = void (*)(const std::uint8_t *rk,
-                              const std::uint8_t *in, std::uint8_t *out,
-                              std::size_t nblocks);
-
-/**
- * Four independent SipHash-2-4 messages advanced in lockstep. @p m is
- * an interleaved word matrix: word w of lane l at m[w * 4 + l], with
- * the final padded length word already included (the caller owns all
- * message parsing). Writes the four finalized 64-bit MACs to @p out,
- * bit-identical to four scalar SipHash24::mac calls.
- */
-using Sip4Fn = void (*)(std::uint64_t k0, std::uint64_t k1,
-                        const std::uint64_t *m, std::size_t nwords,
-                        std::uint64_t *out);
-
-/** The kernel table one Isa resolves to. */
+/** The kernel set in use. */
 struct Kernels
 {
-    Isa isa;
-    Sha256CompressFn sha256Compress;
-    AesEncryptFn aesEncrypt;
-    Sip4Fn sip4;
+    Isa isa = Isa::Scalar;
 };
 
-/**
- * Active kernel table. First use resolves AMNT_CRYPTO_ISA against
- * cpuCaps(); unavailable or unknown requests fall back to the best
- * supported set with a warning.
- */
-const Kernels &active();
+inline Kernels
+active()
+{
+    return {};
+}
 
-/** True iff @p isa is runnable on this CPU with this build. */
-bool available(Isa isa);
-
-/**
- * Force the active kernel set (benchmarks and known-answer tests).
- * @return false (and no change) when @p isa is not available.
- */
-bool select(Isa isa);
-
-/**
- * Whether the batch APIs (mac64xN/padxN) use their wide kernels.
- * When false every batch call degrades to N scalar calls — the
- * reference behaviour the property tests compare against. Initialized
- * from AMNT_CRYPTO_BATCH (unset or nonzero = enabled).
- */
-bool batchEnabled();
-
-/** Test knob for batchEnabled(). */
-void setBatchEnabled(bool enabled);
+/** No batch kernels exist. */
+inline bool
+batchEnabled()
+{
+    return false;
+}
 
 } // namespace amnt::crypto::dispatch
 

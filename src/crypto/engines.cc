@@ -1,25 +1,11 @@
 #include "crypto/engines.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/bitops.hh"
-#include "crypto/dispatch.hh"
 
 namespace amnt::crypto
 {
-
-namespace
-{
-
-/**
- * Stack-buffer chunk size for the batch overrides: large enough to
- * cover a whole page re-encryption burst (64 blocks) without heap
- * traffic, small enough to stay cache-resident.
- */
-constexpr std::size_t kBatchChunk = 64;
-
-} // namespace
 
 void
 EncryptionEngine::xorPad(Addr block_addr, std::uint64_t major,
@@ -55,60 +41,6 @@ HmacShaEngine::mac64(const void *data, std::size_t len,
 }
 
 void
-SipHashEngine::mac64xN(const MacRequest *reqs, std::size_t n,
-                       std::uint64_t *out) const
-{
-    if (!dispatch::batchEnabled()) {
-        HashEngine::mac64xN(reqs, n, out);
-        return;
-    }
-    while (n > 0) {
-        const std::size_t chunk = std::min(n, kBatchChunk);
-
-        // Payload MACs: interleave runs of equal-length requests
-        // (bursts are uniformly kBlockSize in practice).
-        const std::uint8_t *ptrs[kBatchChunk];
-        std::size_t i = 0;
-        while (i < chunk) {
-            std::size_t j = i;
-            while (j < chunk && reqs[j].len == reqs[i].len) {
-                ptrs[j] = static_cast<const std::uint8_t *>(reqs[j].data);
-                ++j;
-            }
-            sip_.macManySameLen(ptrs + i, reqs[i].len, out + i, j - i);
-            i = j;
-        }
-
-        // Tweak binds, interleaved across the whole chunk.
-        std::uint64_t ta[kBatchChunk], tb[kBatchChunk],
-            tmac[kBatchChunk];
-        for (std::size_t k = 0; k < chunk; ++k) {
-            ta[k] = reqs[k].tweak;
-            tb[k] = 0x746a7773ULL;
-        }
-        sip_.macWordsMany(ta, tb, tmac, chunk);
-        for (std::size_t k = 0; k < chunk; ++k)
-            out[k] ^= tmac[k];
-
-        reqs += chunk;
-        out += chunk;
-        n -= chunk;
-    }
-}
-
-void
-HmacShaEngine::mac64xN(const MacRequest *reqs, std::size_t n,
-                       std::uint64_t *out) const
-{
-    // HMAC has no multi-message kernel (SHA-NI is single-stream);
-    // the batch win is the hoisted key schedule plus one virtual
-    // dispatch for the burst. Identical to the base reference loop
-    // by construction, so no batchEnabled() split is needed.
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = mac64(reqs[i].data, reqs[i].len, reqs[i].tweak);
-}
-
-void
 FastPadEngine::pad(Addr block_addr, std::uint64_t major, std::uint8_t minor,
                    std::uint8_t out[kBlockSize]) const
 {
@@ -116,47 +48,6 @@ FastPadEngine::pad(Addr block_addr, std::uint64_t major, std::uint8_t minor,
         sip_.macWords(block_addr, (major << 8) | minor);
     for (unsigned i = 0; i < kBlockSize / 8; ++i)
         store64le(out + 8 * i, sip_.macWords(seed, i));
-}
-
-void
-FastPadEngine::padxN(const PadRequest *reqs, std::size_t n,
-                     std::uint8_t *out) const
-{
-    if (!dispatch::batchEnabled()) {
-        EncryptionEngine::padxN(reqs, n, out);
-        return;
-    }
-    constexpr std::size_t kWordsPerPad = kBlockSize / 8;
-    while (n > 0) {
-        const std::size_t chunk = std::min(n, kBatchChunk);
-
-        // Seeds for the chunk, interleaved.
-        std::uint64_t sa[kBatchChunk], sb[kBatchChunk],
-            seed[kBatchChunk];
-        for (std::size_t k = 0; k < chunk; ++k) {
-            sa[k] = reqs[k].blockAddr;
-            sb[k] = (reqs[k].major << 8) | reqs[k].minor;
-        }
-        sip_.macWordsMany(sa, sb, seed, chunk);
-
-        // Keystream expansion: all chunk * 8 words in one batch.
-        std::uint64_t ka[kBatchChunk * kWordsPerPad],
-            kb[kBatchChunk * kWordsPerPad],
-            ks[kBatchChunk * kWordsPerPad];
-        for (std::size_t k = 0; k < chunk; ++k) {
-            for (std::size_t w = 0; w < kWordsPerPad; ++w) {
-                ka[k * kWordsPerPad + w] = seed[k];
-                kb[k * kWordsPerPad + w] = w;
-            }
-        }
-        sip_.macWordsMany(ka, kb, ks, chunk * kWordsPerPad);
-        for (std::size_t w = 0; w < chunk * kWordsPerPad; ++w)
-            store64le(out + 8 * w, ks[w]);
-
-        reqs += chunk;
-        out += chunk * kBlockSize;
-        n -= chunk;
-    }
 }
 
 void
@@ -170,37 +61,6 @@ AesCtrEngine::pad(Addr block_addr, std::uint64_t major, std::uint8_t minor,
         store64le(ctr + 8, (major << 16) | (std::uint64_t(minor) << 8) | i);
     }
     aes_.encryptBlocks(ctrs, out, kBlockSize / 16);
-}
-
-void
-AesCtrEngine::padxN(const PadRequest *reqs, std::size_t n,
-                    std::uint8_t *out) const
-{
-    if (!dispatch::batchEnabled()) {
-        EncryptionEngine::padxN(reqs, n, out);
-        return;
-    }
-    constexpr std::size_t kCtrsPerPad = kBlockSize / 16;
-    while (n > 0) {
-        const std::size_t chunk = std::min(n, kBatchChunk);
-
-        std::uint8_t ctrs[kBatchChunk * kBlockSize];
-        for (std::size_t k = 0; k < chunk; ++k) {
-            for (std::size_t i = 0; i < kCtrsPerPad; ++i) {
-                std::uint8_t *ctr = ctrs + k * kBlockSize + 16 * i;
-                store64le(ctr, reqs[k].blockAddr);
-                store64le(ctr + 8,
-                          (reqs[k].major << 16)
-                              | (std::uint64_t(reqs[k].minor) << 8) | i);
-            }
-        }
-        // Pads are contiguous in out, so encrypt straight into it.
-        aes_.encryptBlocks(ctrs, out, chunk * kCtrsPerPad);
-
-        reqs += chunk;
-        out += chunk * kBlockSize;
-        n -= chunk;
-    }
 }
 
 CryptoSuite

@@ -57,16 +57,9 @@ class HashEngine
     virtual std::uint64_t mac64(const void *data, std::size_t len,
                                 std::uint64_t tweak) const = 0;
 
-    /**
-     * Batch MAC: out[i] = mac64(reqs[i]). Bit-identical to n scalar
-     * calls by contract; overrides amortize per-call setup and
-     * pipeline latency across the batch (interleaved SipHash lanes,
-     * one virtual dispatch instead of n). The default is the scalar
-     * reference loop.
-     */
-    virtual void
-    mac64xN(const MacRequest *reqs, std::size_t n,
-            std::uint64_t *out) const
+    /** Batch MAC: out[i] = mac64(reqs[i]). */
+    void
+    mac64xN(const MacRequest *reqs, std::size_t n, std::uint64_t *out) const
     {
         for (std::size_t i = 0; i < n; ++i)
             out[i] = mac64(reqs[i].data, reqs[i].len, reqs[i].tweak);
@@ -87,13 +80,8 @@ class EncryptionEngine
                      std::uint8_t minor,
                      std::uint8_t out[kBlockSize]) const = 0;
 
-    /**
-     * Batch pad generation: pad i is written to out + i * kBlockSize.
-     * Bit-identical to n scalar pad() calls by contract; overrides
-     * feed all counter blocks of the batch through one dispatched
-     * cipher call. The default is the scalar reference loop.
-     */
-    virtual void
+    /** Batch pad generation: pad i is written to out + i * kBlockSize. */
+    void
     padxN(const PadRequest *reqs, std::size_t n, std::uint8_t *out) const
     {
         for (std::size_t i = 0; i < n; ++i)
@@ -120,10 +108,6 @@ class SipHashEngine : public HashEngine
         return sip_.mac(data, len) ^ sip_.macWords(tweak, 0x746a7773ULL);
     }
 
-    /** Interleaved 4-lane SipHash over payloads and tweak binds. */
-    void mac64xN(const MacRequest *reqs, std::size_t n,
-                 std::uint64_t *out) const override;
-
   private:
     SipHash24 sip_;
 };
@@ -140,14 +124,6 @@ class HmacShaEngine : public HashEngine
     std::uint64_t mac64(const void *data, std::size_t len,
                         std::uint64_t tweak) const override;
 
-    /**
-     * Batch loop without per-item virtual dispatch; the heavy lifting
-     * (hoisted ipad/opad midstates, SHA-NI compression) lives in the
-     * shared scalar path.
-     */
-    void mac64xN(const MacRequest *reqs, std::size_t n,
-                 std::uint64_t *out) const override;
-
   private:
     HmacSha256 hmac_;
 };
@@ -161,10 +137,6 @@ class FastPadEngine : public EncryptionEngine
     void pad(Addr block_addr, std::uint64_t major, std::uint8_t minor,
              std::uint8_t out[kBlockSize]) const override;
 
-    /** Interleaved seed derivation + keystream expansion. */
-    void padxN(const PadRequest *reqs, std::size_t n,
-               std::uint8_t *out) const override;
-
   private:
     SipHash24 sip_;
 };
@@ -177,10 +149,6 @@ class AesCtrEngine : public EncryptionEngine
 
     void pad(Addr block_addr, std::uint64_t major, std::uint8_t minor,
              std::uint8_t out[kBlockSize]) const override;
-
-    /** All 4n counter blocks through one dispatched cipher call. */
-    void padxN(const PadRequest *reqs, std::size_t n,
-               std::uint8_t *out) const override;
 
   private:
     Aes128 aes_;

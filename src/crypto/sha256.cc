@@ -106,13 +106,13 @@ Sha256::update(const void *data, std::size_t len)
         p += take;
         len -= take;
         if (bufferLen_ == sizeof(buffer_)) {
-            compress_(state_, buffer_, 1);
+            sha256CompressScalar(state_, buffer_, 1);
             bufferLen_ = 0;
         }
     }
     if (len >= sizeof(buffer_)) {
         const std::size_t full = len / sizeof(buffer_);
-        compress_(state_, p, full);
+        sha256CompressScalar(state_, p, full);
         p += full * sizeof(buffer_);
         len -= full * sizeof(buffer_);
     }

@@ -14,8 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "crypto/dispatch.hh"
-
 namespace amnt::crypto
 {
 
@@ -24,7 +22,7 @@ using Sha256Digest = std::array<std::uint8_t, 32>;
 
 /**
  * Portable SHA-256 compression over @p nblocks consecutive 64-byte
- * blocks (the scalar kernel behind dispatch::Sha256CompressFn).
+ * blocks, updating the 8-word @p state in place.
  */
 void sha256CompressScalar(std::uint32_t state[8],
                           const std::uint8_t *blocks,
@@ -41,8 +39,7 @@ void sha256CompressScalar(std::uint32_t state[8],
 class Sha256
 {
   public:
-    /** Captures the active dispatch kernel for its lifetime. */
-    Sha256() : compress_(dispatch::active().sha256Compress) { reset(); }
+    Sha256() { reset(); }
 
     /** Reset to the initial state. */
     void reset();
@@ -57,7 +54,6 @@ class Sha256
     static Sha256Digest digest(const void *data, std::size_t len);
 
   private:
-    dispatch::Sha256CompressFn compress_;
     std::uint32_t state_[8];
     std::uint64_t totalBytes_;
     std::uint8_t buffer_[64];

@@ -51,31 +51,7 @@ struct SipState
     }
 };
 
-/**
- * Longest message (in 8-byte words, including the final length word)
- * the batch paths stage on the stack. Covers the engines' 64-byte
- * blocks with room to spare; longer messages fall back to scalar.
- */
-constexpr std::size_t kMaxBatchWords = 17;
-
 } // namespace
-
-void
-sip4Scalar(std::uint64_t k0, std::uint64_t k1, const std::uint64_t *m,
-           std::size_t nwords, std::uint64_t *out)
-{
-    for (int l = 0; l < 4; ++l) {
-        SipState s(k0, k1);
-        for (std::size_t w = 0; w < nwords; ++w) {
-            const std::uint64_t word = m[w * 4 + l];
-            s.v3 ^= word;
-            s.round();
-            s.round();
-            s.v0 ^= word;
-        }
-        out[l] = s.finalize();
-    }
-}
 
 std::uint64_t
 SipHash24::mac(const void *data, std::size_t len) const
@@ -119,59 +95,6 @@ SipHash24::macWords(std::uint64_t a, std::uint64_t b) const
     s.round();
     s.v0 ^= last;
     return s.finalize();
-}
-
-void
-SipHash24::macManySameLen(const std::uint8_t *const *data,
-                          std::size_t len, std::uint64_t *out,
-                          std::size_t n) const
-{
-    const std::size_t full_words = len / 8;
-    const std::size_t tail = len & 7;
-    const std::size_t nwords = full_words + 1;
-    if (nwords > kMaxBatchWords) {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = mac(data[i], len);
-        return;
-    }
-
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        std::uint64_t m[kMaxBatchWords * 4];
-        for (std::size_t w = 0; w < full_words; ++w)
-            for (std::size_t l = 0; l < 4; ++l)
-                m[w * 4 + l] = load64le(data[i + l] + 8 * w);
-        for (std::size_t l = 0; l < 4; ++l) {
-            std::uint64_t last =
-                static_cast<std::uint64_t>(len & 0xff) << 56;
-            const std::uint8_t *tp = data[i + l] + 8 * full_words;
-            for (std::size_t t = 0; t < tail; ++t)
-                last |= static_cast<std::uint64_t>(tp[t]) << (8 * t);
-            m[full_words * 4 + l] = last;
-        }
-        sip4_(k0_, k1_, m, nwords, out + i);
-    }
-    for (; i < n; ++i)
-        out[i] = mac(data[i], len);
-}
-
-void
-SipHash24::macWordsMany(const std::uint64_t *a, const std::uint64_t *b,
-                        std::uint64_t *out, std::size_t n) const
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        std::uint64_t m[3 * 4];
-        for (std::size_t l = 0; l < 4; ++l) {
-            m[0 * 4 + l] = a[i + l];
-            m[1 * 4 + l] = b[i + l];
-            // Length word for a 16-byte message.
-            m[2 * 4 + l] = 16ULL << 56;
-        }
-        sip4_(k0_, k1_, m, 3, out + i);
-    }
-    for (; i < n; ++i)
-        out[i] = macWords(a[i], b[i]);
 }
 
 } // namespace amnt::crypto

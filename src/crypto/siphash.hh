@@ -15,30 +15,14 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "crypto/dispatch.hh"
-
 namespace amnt::crypto
 {
-
-/**
- * Portable four-lane SipHash-2-4 batch kernel (the scalar kernel
- * behind dispatch::Sip4Fn): four sequential scalar runs over the
- * interleaved word matrix. A GPR interleave is deliberately absent —
- * 16 live state words spill on x86-64 and lose to this plain loop;
- * the batch win comes from the AVX2/AVX-512 kernels when dispatched.
- */
-void sip4Scalar(std::uint64_t k0, std::uint64_t k1,
-                const std::uint64_t *m, std::size_t nwords,
-                std::uint64_t *out);
 
 /** SipHash-2-4 keyed with a 128-bit key held as two 64-bit halves. */
 class SipHash24
 {
   public:
-    SipHash24(std::uint64_t k0, std::uint64_t k1)
-        : k0_(k0), k1_(k1), sip4_(dispatch::active().sip4)
-    {
-    }
+    SipHash24(std::uint64_t k0, std::uint64_t k1) : k0_(k0), k1_(k1) {}
 
     /** 64-bit MAC over an arbitrary byte string. */
     std::uint64_t mac(const void *data, std::size_t len) const;
@@ -46,24 +30,9 @@ class SipHash24
     /** 64-bit MAC over a pair of words (fast path, no buffer). */
     std::uint64_t macWords(std::uint64_t a, std::uint64_t b) const;
 
-    /**
-     * Batch MAC of @p n equal-length messages: out[i] =
-     * mac(data[i], len). A SipHash round is one serial dependency
-     * chain, so groups of four independent messages run through the
-     * dispatched four-lane kernel (captured at construction) to fill
-     * the vector pipeline; bit-identical to n scalar calls.
-     */
-    void macManySameLen(const std::uint8_t *const *data, std::size_t len,
-                        std::uint64_t *out, std::size_t n) const;
-
-    /** Batch macWords: out[i] = macWords(a[i], b[i]), four-lane. */
-    void macWordsMany(const std::uint64_t *a, const std::uint64_t *b,
-                      std::uint64_t *out, std::size_t n) const;
-
   private:
     std::uint64_t k0_;
     std::uint64_t k1_;
-    dispatch::Sip4Fn sip4_;
 };
 
 } // namespace amnt::crypto

@@ -11,9 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "crypto/dispatch.hh"
 #include "mee/mee_test_util.hh"
 
 namespace amnt
@@ -22,92 +19,6 @@ namespace
 {
 
 using test::Rig;
-
-/** Restore the global batch/ISA knobs when a test ends. */
-class KnobGuard
-{
-  public:
-    KnobGuard()
-        : isa_(crypto::dispatch::active().isa),
-          batch_(crypto::dispatch::batchEnabled())
-    {
-    }
-    ~KnobGuard()
-    {
-        crypto::dispatch::select(isa_);
-        crypto::dispatch::setBatchEnabled(batch_);
-    }
-
-  private:
-    crypto::dispatch::Isa isa_;
-    bool batch_;
-};
-
-/**
- * Deterministic mixed workload: random reads/writes, a minor-counter
- * overflow (page re-encryption burst), then crash + recovery. Each op
- * runs on both rigs with @p knob flipped in between, asserting
- * identical latency and device traffic throughout.
- */
-void
-runLockstep(Rig &a, Rig &b, const std::function<void(bool)> &knob)
-{
-    Rng rng(4242);
-    std::uint8_t buf[kBlockSize];
-    const auto step = [&](auto &&op) {
-        knob(true);
-        const Cycle la = op(*a.engine);
-        knob(false);
-        const Cycle lb = op(*b.engine);
-        ASSERT_EQ(la, lb);
-        ASSERT_EQ(a.nvm->reads(), b.nvm->reads());
-        ASSERT_EQ(a.nvm->writes(), b.nvm->writes());
-    };
-    for (int i = 0; i < 400 && !testing::Test::HasFatalFailure();
-         ++i) {
-        const Addr addr =
-            rng.below(256) * kPageSize + rng.below(16) * kBlockSize;
-        test::fillBlock(buf, static_cast<std::uint64_t>(i));
-        if (rng.chance(0.5))
-            step([&](mee::MemoryEngine &e) { return e.write(addr, buf); });
-        else
-            step([&](mee::MemoryEngine &e) { return e.read(addr); });
-    }
-    // Overflow the minor counter of one block: the write path takes
-    // the page re-encryption burst (batched pads + HMAC entries).
-    test::fillBlock(buf, 777);
-    for (unsigned i = 0; i <= kMinorCounterMax + 1u &&
-                         !testing::Test::HasFatalFailure();
-         ++i)
-        step([&](mee::MemoryEngine &e) {
-            return e.write(3 * kPageSize, buf);
-        });
-    ASSERT_GE(a.engine->stats().get("overflow_reencrypts"), 1ull);
-
-    // Identical persisted and architectural state before the crash.
-    auto stale_a = a.engine->staleMetadataBlocks();
-    auto stale_b = b.engine->staleMetadataBlocks();
-    std::sort(stale_a.begin(), stale_a.end());
-    std::sort(stale_b.begin(), stale_b.end());
-    EXPECT_EQ(stale_a, stale_b);
-    EXPECT_EQ(a.engine->stats().all(), b.engine->stats().all());
-
-    // Crash + recover: exercises the level-by-level tree rebuild and
-    // the batched bulk-persist restore paths.
-    knob(true);
-    a.engine->crash();
-    const auto ra = a.engine->recover();
-    knob(false);
-    b.engine->crash();
-    const auto rb = b.engine->recover();
-    EXPECT_EQ(ra.success, rb.success);
-    EXPECT_EQ(ra.blocksRead, rb.blocksRead);
-    EXPECT_EQ(ra.blocksWritten, rb.blocksWritten);
-    EXPECT_EQ(ra.countersRecovered, rb.countersRecovered);
-    EXPECT_EQ(ra.nodesRecomputed, rb.nodesRecomputed);
-    EXPECT_EQ(a.engine->rootRegister(), b.engine->rootRegister());
-    EXPECT_EQ(a.engine->violations(), b.engine->violations());
-}
 
 class PlaneEquivalence : public ::testing::TestWithParam<mee::Protocol>
 {
@@ -182,49 +93,6 @@ TEST_P(PlaneEquivalence, IdenticalRecoveryWork)
     EXPECT_EQ(rf.blocksWritten, rg.blocksWritten);
     EXPECT_EQ(rf.countersRecovered, rg.countersRecovered);
     EXPECT_DOUBLE_EQ(rf.estimatedMs, rg.estimatedMs);
-}
-
-TEST_P(PlaneEquivalence, BatchedMatchesUnbatched)
-{
-    // The wide batch kernels must be behaviourally invisible: a full
-    // workload (including overflow re-encryption and crash recovery)
-    // with batching on equals the same workload with every batch call
-    // degraded to N scalar calls — on both planes.
-    KnobGuard guard;
-    for (auto plane :
-         {crypto::CryptoPlane::Fast, crypto::CryptoPlane::Functional}) {
-        mee::MeeConfig cfg = test::smallConfig(plane);
-        cfg.dataBytes = 2ull << 20;
-        cfg.amntSubtreeLevel = 2;
-        Rig batched(GetParam(), cfg);
-        Rig scalar(GetParam(), cfg);
-        runLockstep(batched, scalar, [](bool wide) {
-            crypto::dispatch::setBatchEnabled(wide);
-        });
-        if (testing::Test::HasFatalFailure())
-            return;
-    }
-}
-
-TEST_P(PlaneEquivalence, IsaPathsAreEquivalent)
-{
-    // Scalar-forced and natively-dispatched engines must agree on a
-    // full functional-plane workload (ISA selection only affects the
-    // functional plane's SHA-256/AES kernels).
-    KnobGuard guard;
-    mee::MeeConfig cfg =
-        test::smallConfig(crypto::CryptoPlane::Functional);
-    cfg.dataBytes = 2ull << 20;
-    cfg.amntSubtreeLevel = 2;
-    ASSERT_TRUE(crypto::dispatch::select(crypto::dispatch::Isa::Native));
-    Rig native(GetParam(), cfg);
-    ASSERT_TRUE(crypto::dispatch::select(crypto::dispatch::Isa::Scalar));
-    Rig scalar(GetParam(), cfg);
-    runLockstep(native, scalar, [](bool use_native) {
-        crypto::dispatch::select(use_native
-                                     ? crypto::dispatch::Isa::Native
-                                     : crypto::dispatch::Isa::Scalar);
-    });
 }
 
 INSTANTIATE_TEST_SUITE_P(
