@@ -6,7 +6,10 @@
  * generates is protocol-independent — then replays each trace through
  * every registry protocol and reports host-side replay throughput
  * (simulated data accesses per wall-clock second, best of
- * AMNT_BENCH_REPS repetitions).
+ * AMNT_BENCH_REPS repetitions). Each row also reports the fewest
+ * batches any repetition handed to a memory-side helper thread
+ * (offloaded_batches; 0 means some repetition ran the memory side
+ * inline).
  *
  * Unlike every other harness in bench/, the reported number IS a
  * wall-clock measurement: it tracks the cost of the simulator itself,
@@ -25,6 +28,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -64,11 +68,18 @@ record(const std::string &preset, const std::string &path,
     sys.run(instr, warmup);
 }
 
-/** One timed replay; returns simulated data accesses per second. */
-double
-replayRate(mee::Protocol p, const std::string &preset,
-           const std::string &path, std::uint64_t instr,
-           std::uint64_t warmup)
+/** What one timed replay measured. */
+struct Replay
+{
+    double accessesPerSec = 0.0;
+    std::uint64_t offloadedBatches = 0;
+};
+
+/** One timed replay of the trace at @p path under @p p. */
+Replay
+replay(mee::Protocol p, const std::string &preset,
+       const std::string &path, std::uint64_t instr,
+       std::uint64_t warmup)
 {
     const sim::SystemConfig cfg = sim::SystemConfig::singleProgram(p);
     sim::WorkloadConfig w = bench::scaled(sim::namedWorkload(preset));
@@ -84,7 +95,8 @@ replayRate(mee::Protocol p, const std::string &preset,
     if (secs <= 0.0 || r.dataAccesses == 0)
         fatal("replay of %s under %s did nothing", preset.c_str(),
               mee::protocolName(p));
-    return static_cast<double>(r.dataAccesses) / secs;
+    return {static_cast<double>(r.dataAccesses) / secs,
+            sys.memoryPipe().offloadedBatches()};
 }
 
 } // namespace
@@ -103,22 +115,27 @@ main(int argc, char **argv)
 
     bench::JsonSink sink(argc, argv, "bench_replay");
     TextTable table;
-    table.header({"protocol", "preset", "Maccess/s"});
+    table.header({"protocol", "preset", "Maccess/s", "offloaded"});
 
     for (const char *preset : kPresets) {
         const std::string path = tracePath(preset);
         record(preset, path, instr, warmup);
         for (mee::Protocol p : protocols) {
             double best = 0.0;
-            for (std::uint64_t rep = 0; rep < reps; ++rep)
-                best = std::max(
-                    best, replayRate(p, preset, path, instr, warmup));
+            std::uint64_t fewest = reps == 0 ? 0 : UINT64_MAX;
+            for (std::uint64_t rep = 0; rep < reps; ++rep) {
+                const Replay r = replay(p, preset, path, instr, warmup);
+                best = std::max(best, r.accessesPerSec);
+                fewest = std::min(fewest, r.offloadedBatches);
+            }
             table.row({mee::protocolName(p), preset,
-                       TextTable::num(best / 1e6, 3)});
+                       TextTable::num(best / 1e6, 3),
+                       std::to_string(fewest)});
             bench::JsonRow row;
             row.field("protocol", std::string(mee::protocolName(p)));
             row.field("preset", std::string(preset));
             row.field("accesses_per_sec", best);
+            row.field("offloaded_batches", fewest);
             sink.add(row);
         }
         std::remove(path.c_str());

@@ -15,6 +15,9 @@ TraceReader::TraceReader(const std::string &path)
         fail("cannot open trace");
         return;
     }
+    // The block is the only buffer: stdio's own would copy each
+    // byte twice.
+    std::setvbuf(file_, nullptr, _IONBF, 0);
     std::uint8_t header[kHeaderBytes];
     if (std::fread(header, 1, sizeof(header), file_) != sizeof(header)) {
         fail("truncated header");
@@ -32,21 +35,25 @@ TraceReader::TraceReader(const std::string &path)
         version_ = 0;
         return;
     }
-    dataStart_ = std::ftell(file_);
+    block_ = std::make_unique<std::uint8_t[]>(kBlockBytes);
     // A replayable trace needs at least one record; diagnosing the
     // empty file here keeps every consumer's error path uniform.
-    const int c = std::fgetc(file_);
-    if (c == EOF) {
+    if (!refill())
         fail("trace holds no records");
-        return;
-    }
-    std::ungetc(c, file_);
 }
 
 TraceReader::~TraceReader()
 {
     if (file_ != nullptr)
         std::fclose(file_);
+}
+
+bool
+TraceReader::refill()
+{
+    pos_ = 0;
+    end_ = std::fread(block_.get(), 1, kBlockBytes, file_);
+    return end_ > 0;
 }
 
 void
@@ -63,7 +70,7 @@ TraceReader::readVarint(std::uint64_t &out, const char *field)
     std::uint8_t buf[kMaxVarintBytes];
     std::size_t n = 0;
     while (n < kMaxVarintBytes) {
-        const int c = std::fgetc(file_);
+        const int c = getByte();
         if (c == EOF) {
             fail(strfmt("truncated %s varint in record %llu", field,
                         static_cast<unsigned long long>(
@@ -89,7 +96,7 @@ TraceReader::next(TraceRecord &out)
 {
     if (!ok() || atEnd_)
         return false;
-    const int first = std::fgetc(file_);
+    const int first = getByte();
     if (first == EOF) {
         // A well-formed stream always ends with its marker; a
         // hard EOF here means the file was cut short.
@@ -106,7 +113,7 @@ TraceReader::next(TraceRecord &out)
     if (flags == kKindEnd) {
         if (!readVarint(tailGap_, "tail-gap"))
             return false;
-        if (std::fgetc(file_) != EOF) {
+        if (getByte() != EOF) {
             fail("data after end-of-trace marker");
             return false;
         }
@@ -150,7 +157,8 @@ TraceReader::rewind()
     if (!ok())
         return;
     std::clearerr(file_);
-    std::fseek(file_, dataStart_, SEEK_SET);
+    std::fseek(file_, kHeaderBytes, SEEK_SET);
+    pos_ = end_ = 0;
     prevVaddr_ = 0;
     atEnd_ = false;
 }

@@ -1,7 +1,9 @@
 /**
  * @file
  * Streaming trace reader: sequentially decodes v2 (varint) traces
- * with O(1) memory.
+ * with O(1) memory. Bytes come from one fixed block that fread()
+ * refills, so decoding costs per record, not per locked stdio call;
+ * records and varints may straddle a block edge.
  *
  * Malformed input never aborts the process: every defect — missing
  * file, short or alien header, unsupported version, truncated record,
@@ -15,6 +17,7 @@
 #define AMNT_SIM_TRACEIO_READER_HH
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "sim/traceio/format.hh"
@@ -36,6 +39,9 @@ struct TraceRecord
 class TraceReader
 {
   public:
+    /** Bytes decoded per fread() refill; the reader's whole buffer. */
+    static constexpr std::size_t kBlockBytes = 16 * 1024;
+
     /** Opens @p path and validates the header. Check ok() after. */
     explicit TraceReader(const std::string &path);
     ~TraceReader();
@@ -75,11 +81,25 @@ class TraceReader
     void fail(const std::string &what);
     bool readVarint(std::uint64_t &out, const char *field);
 
+    /** Next byte of the stream, or EOF past its end. */
+    int
+    getByte()
+    {
+        if (pos_ == end_ && !refill())
+            return EOF;
+        return block_[pos_++];
+    }
+
+    /** Read the next block; false at end of file. */
+    bool refill();
+
     std::FILE *file_ = nullptr;
     std::string path_;
     std::string error_;
+    std::unique_ptr<std::uint8_t[]> block_;
+    std::size_t pos_ = 0; ///< next unread byte of block_
+    std::size_t end_ = 0; ///< valid bytes in block_
     unsigned version_ = 0;
-    long dataStart_ = 0;
     Addr prevVaddr_ = 0;
     std::uint64_t recordsRead_ = 0;
     std::uint64_t tailGap_ = 0;

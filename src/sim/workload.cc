@@ -261,20 +261,6 @@ Workload::nextPointerChase()
     return ref;
 }
 
-bool
-Workload::timedReplay() const
-{
-    return trace_ != nullptr;
-}
-
-bool
-Workload::replayTick()
-{
-    if (replayCountdown_ > 0)
-        --replayCountdown_;
-    return replayCountdown_ == 0;
-}
-
 void
 Workload::prefetchTrace()
 {

@@ -184,14 +184,21 @@ class Workload
      * True when this workload replays a trace: reference issue is
      * then driven by replayTick(), not issuesMemRef().
      */
-    bool timedReplay() const;
+    bool timedReplay() const { return trace_ != nullptr; }
 
     /**
      * Timed replay only: account one executed instruction. Returns
      * true when the trace schedules a reference on this instruction
-     * (fetch it with next()).
+     * (fetch it with next()). Defined here, like issuesMemRef(),
+     * because the system model calls it once per instruction.
      */
-    bool replayTick();
+    bool
+    replayTick()
+    {
+        if (replayCountdown_ > 0)
+            --replayCountdown_;
+        return replayCountdown_ == 0;
+    }
 
     const WorkloadConfig &config() const { return config_; }
 

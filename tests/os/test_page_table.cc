@@ -82,6 +82,13 @@ TEST(PageTable, UnmapAllReleasesEverything)
     pt.unmapAll();
     EXPECT_EQ(pt.mappedPages(), 0ull);
     EXPECT_EQ(alloc.freeFrames(), 256ull);
+
+    // The last page translated refaults into a fresh frame: no
+    // mapping, and no cached translation, outlives process exit.
+    pt.translate(49 * kPageSize);
+    EXPECT_EQ(pt.faults(), 51ull);
+    EXPECT_EQ(pt.mappedPages(), 1ull);
+    EXPECT_EQ(alloc.freeFrames(), 255ull);
 }
 
 TEST(PageTable, ForEachMappingVisitsAll)
@@ -100,7 +107,10 @@ TEST(PageTable, StormMatchesUnorderedMapReference)
     // Slow reference: a std::unordered_map page table driven by its
     // own allocator, built and aged the same way. Each step
     // translates, unmaps or re-touches a page; every translation, the
-    // fault count and the mapped-page count must agree.
+    // fault count and the mapped-page count must agree. Half the
+    // steps reuse the previous step's page, so translate, unmap and
+    // translate of one page in a row is common: the sequence a stale
+    // cached translation would answer without refaulting.
     BuddyAllocator alloc(4096), ref_alloc(4096);
     Rng age(77), ref_age(77);
     alloc.ageSystem(age, 0.8, 96);
@@ -111,8 +121,10 @@ TEST(PageTable, StormMatchesUnorderedMapReference)
 
     Rng rng(2024);
     const PageId vpages = 3000;
+    PageId vpage = 0;
     for (int step = 0; step < 60000; ++step) {
-        const PageId vpage = rng.below(vpages);
+        if (!rng.chance(0.5))
+            vpage = rng.below(vpages);
         const Addr vaddr = pageAddr(vpage) + rng.below(kPageSize);
         if (rng.chance(0.25)) {
             pt.unmapPage(vpage);
@@ -134,9 +146,9 @@ TEST(PageTable, StormMatchesUnorderedMapReference)
         ASSERT_EQ(pt.faults(), ref_faults) << "step " << step;
         ASSERT_EQ(pt.mappedPages(), ref.size()) << "step " << step;
     }
-    for (const auto &[vpage, frame] : ref) {
+    for (const auto &[mapped, frame] : ref) {
         Addr paddr = 0;
-        ASSERT_TRUE(pt.probe(pageAddr(vpage), paddr));
+        ASSERT_TRUE(pt.probe(pageAddr(mapped), paddr));
         EXPECT_EQ(pageOf(paddr), frame);
     }
 }

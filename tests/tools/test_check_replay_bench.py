@@ -7,7 +7,9 @@ from history are record-only instead of a crash, malformed history
 entries are ignored with a warning, regressions on matching keys still
 gate, --append writes flat cells that a later check matches, and the
 dump's top-level peak_rss_mb (every JsonSink document carries one) is
-ignored: the tool reads only "bench" and "rows".
+ignored: the tool reads only "bench" and "rows", and of each row only
+protocol, preset and accesses_per_sec (so a row field such as
+offloaded_batches neither gates nor reaches the history).
 
 Run directly or via ctest (registered in tests/CMakeLists.txt).
 """
@@ -209,6 +211,33 @@ class CheckReplayBenchTest(unittest.TestCase):
             self.assertEqual(set(recorded), {"bench", "entries"})
             self.assertEqual(
                 set(recorded["entries"][1]),
+                {"protocol", "preset", "accesses_per_sec", "git_rev"},
+            )
+
+    def test_extra_row_field_neither_gates_nor_is_appended(self):
+        # offloaded_batches = 0 would be a CI failure elsewhere; here
+        # it must not gate, and the history keeps its four fields.
+        for batches in (0, 4):
+            r = row("amnt", "stream", 1000.0)
+            r["offloaded_batches"] = batches
+            cur = write_json(self.dir, "cur.json", current_dump([r]))
+            hist = write_json(
+                self.dir,
+                "hist.json",
+                history_dump([entry("amnt", "stream", 1000.0)]),
+            )
+            res = run_tool(
+                "--current", cur, "--history", hist,
+                "--append", "--rev", "r2",
+            )
+            self.assertEqual(res.returncode, 0, res.stderr)
+            self.assertIn("amnt/stream: 1,000/s vs 1,000/s", res.stdout)
+            self.assertNotIn("offloaded", res.stdout)
+            with open(hist) as f:
+                recorded = json.load(f)["entries"]
+            self.assertEqual(len(recorded), 2)
+            self.assertEqual(
+                set(recorded[1]),
                 {"protocol", "preset", "accesses_per_sec", "git_rev"},
             )
 
